@@ -474,23 +474,35 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     }
 
     // --- Data-plane throughput: the units/sec headline ----------------
-    // Engine-level generated-units-per-wall-second across event-queue
-    // backends and transfer batch sizes. These entries are rates
-    // (bigger is better); verify.sh inverts its regression tripwire
-    // for the `units/s` unit.
+    // Engine-level generated-units-per-wall-second across transfer
+    // batch sizes. These entries are rates (bigger is better); verify.sh
+    // inverts its regression tripwire for the `units/s` unit.
     if want("dataplane") {
         use rasc_bench::dataplane;
-        let horizon = if quick { 1.0 } else { 4.0 };
+        let (horizon, samples) = if quick { (0.5, 3) } else { (2.0, 5) };
         for &apps in &dataplane::SIZES {
             for variant in dataplane::VARIANTS {
-                results.push(dataplane::throughput(apps, variant, horizon));
+                results.push(dataplane::throughput(apps, variant, horizon, samples));
             }
         }
-        // Steady-state allocation gate for the batched data plane: after
-        // warm-up the SoA store, batch pool, and wheel slots must recycle.
-        let allocs = dataplane::steady_state_allocs(dataplane::SIZES[1], dataplane::VARIANTS[2]);
-        assert_eq!(allocs, 0, "steady-state data plane must be allocation-free");
-        println!("steady-state allocations per simulated second of batched data plane: {allocs}");
+        // Steady-state allocation gates: after warm-up the SoA store,
+        // batch pool, and event queue must recycle — on the batched plane,
+        // and on the per-unit plane with the paper scenario's cross
+        // traffic and execution-time noise.
+        let [perunit, batched] = dataplane::VARIANTS;
+        for (variant, paper_noise) in [(batched, false), (perunit, true)] {
+            let allocs = dataplane::steady_state_allocs(dataplane::SIZES[1], variant, paper_noise);
+            assert_eq!(
+                allocs, 0,
+                "steady-state data plane must be allocation-free ({} plane, cross traffic {paper_noise})",
+                variant.label
+            );
+            println!(
+                "steady-state allocations per simulated second of {} data plane \
+                 (cross traffic + exec noise: {paper_noise}): {allocs}",
+                variant.label
+            );
+        }
     }
 
     // --- Admission throughput: the apps/sec headline ------------------
@@ -758,15 +770,11 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     }
     for &apps in &rasc_bench::dataplane::SIZES {
         let rate = |variant: &str| ns_of(&format!("dataplane/units_per_sec/{variant}/{apps}"));
-        let heap = rate("heap_perunit");
         println!(
-            "dataplane units/sec at {apps} apps: heap/per-unit {:.0}, wheel/per-unit {:.0} \
-             ({:.1}x), wheel+batch {:.0} ({:.1}x)",
-            heap,
-            rate("wheel_perunit"),
-            rate("wheel_perunit") / heap,
-            rate("wheel_batch"),
-            rate("wheel_batch") / heap,
+            "dataplane units/sec at {apps} apps: per-unit {:.0}, batched {:.0} ({:.1}x)",
+            rate("perunit"),
+            rate("batch"),
+            rate("batch") / rate("perunit"),
         );
     }
     let serial_headline = ns_of("admission/apps_per_sec/serial_1req/1000");
@@ -852,7 +860,7 @@ fn chaos_soak_cmd(quick: bool) {
         cfg.seeds.len(),
         cfg.profiles.len(),
         cfg.composers.len(),
-        cfg.variants.len(),
+        cfg.batches.len(),
         cfg.runs()
     );
     let start = Instant::now();
@@ -867,11 +875,10 @@ fn chaos_soak_cmd(quick: bool) {
         if r.violations > 0 {
             failed = true;
             eprintln!(
-                "VIOLATIONS seed {} {} {} {:?}/batch{}: {} ({:?})",
+                "VIOLATIONS seed {} {} {} batch{}: {} ({:?})",
                 r.seed,
                 r.profile.label(),
                 r.composer.label(),
-                r.backend,
                 r.batch,
                 r.violations,
                 r.messages
@@ -896,21 +903,6 @@ fn chaos_soak_cmd(quick: bool) {
         );
     } else {
         println!("serial and parallel digests match");
-    }
-    if let Some((a, b)) = parallel.backend_mismatch(cfg.variants.len()) {
-        failed = true;
-        eprintln!(
-            "BACKEND MISMATCH seed {} {} {}: {:?} digest {:016x} != {:?} digest {:016x}",
-            a.seed,
-            a.profile.label(),
-            a.composer.label(),
-            a.backend,
-            a.digest,
-            b.backend,
-            b.digest
-        );
-    } else {
-        println!("per-cell digests are backend-independent at batch 1");
     }
 
     // Sharded-composer axis: shard counts × digest-refresh intervals on

@@ -4,15 +4,16 @@
 //! engine for a simulated horizon and reports *data units generated per
 //! wall-clock second* — the rate at which the simulator can push units
 //! through the full pipeline (source emission, link transfer, CPU
-//! service, destination delivery). Three variants isolate the two
-//! data-plane optimizations:
+//! service, destination delivery). Two variants isolate the batched
+//! data plane:
 //!
-//! * `heap_perunit` — `BinaryHeap` event queue, one transfer per unit
-//!   (the pre-optimization reference),
-//! * `wheel_perunit` — hierarchical timer wheel, still per-unit
-//!   transfers (isolates the event-queue backend),
-//! * `wheel_batch` — timer wheel plus batched link transfers (the
-//!   production configuration; one event amortizes a burst).
+//! * `perunit` — one link transfer and one event per unit (the engine
+//!   default, `transfer_batch: 1`),
+//! * `batch` — batched link transfers (one event amortizes a burst of
+//!   up to 32 units).
+//!
+//! Each entry is the median of several consecutive measured slices of
+//! one warmed engine, with the slowest and fastest slice as min/max.
 //!
 //! Apps are pinned one-per-provider (each app's service is offered by
 //! exactly one node), so the pipeline shape is identical across
@@ -22,9 +23,9 @@
 //! regression tripwire for the `units/s` unit.
 
 use crate::microbench::{count_allocations, record_rate, Measurement};
-use desim::{QueueBackend, SimDuration};
+use desim::SimDuration;
 use rasc_core::compose::ComposerKind;
-use rasc_core::engine::{Engine, EngineConfig};
+use rasc_core::engine::{BackgroundTraffic, Engine, EngineConfig};
 use rasc_core::model::{Service, ServiceCatalog, ServiceRequest};
 use simnet::{kbps, TopologyBuilder};
 use std::time::Instant;
@@ -32,29 +33,20 @@ use std::time::Instant;
 /// One data-plane engine configuration under measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct DataplaneVariant {
-    /// Bench id component, e.g. `"wheel_batch"`.
+    /// Bench id component, e.g. `"batch"`.
     pub label: &'static str,
-    /// Event-queue backend.
-    pub backend: QueueBackend,
     /// Units coalesced per link transfer (1 = per-unit reference plane).
     pub batch: u32,
 }
 
 /// The measured variants, reference first.
-pub const VARIANTS: [DataplaneVariant; 3] = [
+pub const VARIANTS: [DataplaneVariant; 2] = [
     DataplaneVariant {
-        label: "heap_perunit",
-        backend: QueueBackend::BinaryHeap,
+        label: "perunit",
         batch: 1,
     },
     DataplaneVariant {
-        label: "wheel_perunit",
-        backend: QueueBackend::TimerWheel,
-        batch: 1,
-    },
-    DataplaneVariant {
-        label: "wheel_batch",
-        backend: QueueBackend::TimerWheel,
+        label: "batch",
         batch: 32,
     },
 ];
@@ -71,7 +63,12 @@ const APP_RATE: f64 = 2_000.0;
 /// offers service `i`), a source and a destination endpoint, generous
 /// NICs (the bench measures the simulator, not admission), and a cheap
 /// deterministic service so the CPU keeps up with the offered rate.
-fn build_engine(apps: usize, variant: DataplaneVariant) -> Engine {
+///
+/// `paper_noise` adds what the paper scenario runs with on top: flaky
+/// cross traffic on every provider and the default log-normal noise on
+/// execution times. Runs are then no longer identical across variants,
+/// so only the allocation check uses it.
+fn build_engine(apps: usize, variant: DataplaneVariant, paper_noise: bool) -> Engine {
     let nodes = apps + 2;
     let catalog = ServiceCatalog::new(
         (0..apps)
@@ -95,18 +92,22 @@ fn build_engine(apps: usize, variant: DataplaneVariant) -> Engine {
         .offers(offers)
         .config(EngineConfig {
             composer: ComposerKind::MinCost,
-            queue_backend: variant.backend,
             transfer_batch: variant.batch,
-            exec_noise_sigma: 0.0,
+            exec_noise_sigma: if paper_noise {
+                EngineConfig::default().exec_noise_sigma
+            } else {
+                0.0
+            },
+            background: paper_noise.then(|| BackgroundTraffic::flaky((0..apps).collect())),
             ..Default::default()
         })
         .build()
 }
 
 /// Builds, submits, and warms up one cell's engine (0.5 s of simulated
-/// traffic, so stores, pools, and wheel slots reach steady state).
-fn warmed_engine(apps: usize, variant: DataplaneVariant) -> Engine {
-    let mut e = build_engine(apps, variant);
+/// traffic, so stores, pools, and the event queue reach steady state).
+fn warmed_engine(apps: usize, variant: DataplaneVariant, paper_noise: bool) -> Engine {
+    let mut e = build_engine(apps, variant, paper_noise);
     let src = apps;
     let dst = apps + 1;
     for i in 0..apps {
@@ -117,34 +118,46 @@ fn warmed_engine(apps: usize, variant: DataplaneVariant) -> Engine {
     e
 }
 
-/// Measures one cell: wall-clocks `horizon_secs` of simulated traffic
-/// on a warmed engine and reports generated units per wall second as
-/// `dataplane/units_per_sec/<variant>/<apps>`.
-pub fn throughput(apps: usize, variant: DataplaneVariant, horizon_secs: f64) -> Measurement {
-    let mut e = warmed_engine(apps, variant);
-    let before = e.report().generated;
-    let start = Instant::now();
-    e.run_for_secs(horizon_secs);
-    let wall = start.elapsed();
-    let units = e.report().generated - before;
-    record_rate(
-        &format!("dataplane/units_per_sec/{}/{apps}", variant.label),
-        units,
-        wall,
-    )
+/// Measures one cell: wall-clocks `samples` consecutive slices of
+/// `horizon_secs` simulated traffic on one warmed engine and reports the
+/// median slice's generated units per wall second (min/max: the slowest
+/// and fastest slice) as `dataplane/units_per_sec/<variant>/<apps>`.
+pub fn throughput(
+    apps: usize,
+    variant: DataplaneVariant,
+    horizon_secs: f64,
+    samples: usize,
+) -> Measurement {
+    let name = format!("dataplane/units_per_sec/{}/{apps}", variant.label);
+    let mut e = warmed_engine(apps, variant, false);
+    let mut slices: Vec<Measurement> = (0..samples.max(1))
+        .map(|_| {
+            let before = e.report().generated;
+            let start = Instant::now();
+            e.run_for_secs(horizon_secs);
+            let wall = start.elapsed();
+            record_rate(&name, e.report().generated - before, wall)
+        })
+        .collect();
+    slices.sort_by(|a, b| a.value.total_cmp(&b.value));
+    let mut m = slices[slices.len() / 2].clone();
+    m.min = slices[0].value;
+    m.max = slices[slices.len() - 1].value;
+    m.samples = slices.len();
+    m
 }
 
 /// Heap allocations during one simulated second of steady-state traffic
 /// on a warmed engine. The SoA unit store, batch pool, pooled CPU/run
-/// vectors, and timer-wheel slots must all be at capacity after warm-up,
-/// so this is asserted to be zero by `repro bench`.
-pub fn steady_state_allocs(apps: usize, variant: DataplaneVariant) -> u64 {
-    let mut e = warmed_engine(apps, variant);
+/// vectors, and the event queue must all be at capacity after warm-up,
+/// so this is asserted to be zero by `repro bench` — with `paper_noise`
+/// (see [`build_engine`]) as well, which also covers the cross-traffic
+/// handlers.
+pub fn steady_state_allocs(apps: usize, variant: DataplaneVariant, paper_noise: bool) -> u64 {
+    let mut e = warmed_engine(apps, variant, paper_noise);
     // The bandwidth meters hold a sliding window of (time, bits) pairs
     // covering `measure_window_secs` (4 s) of traffic; their deques only
-    // stop growing once a full window has elapsed. Warm well past that,
-    // plus slack for slow-rotating timer-wheel levels (level 5 rotates
-    // every ~1.07 s) to reach their peak slot occupancy.
+    // stop growing once a full window has elapsed. Warm well past that.
     e.run_for_secs(7.5);
     count_allocations(|| e.run_for_secs(1.0))
 }
@@ -156,7 +169,7 @@ mod tests {
     #[test]
     fn cells_generate_and_deliver() {
         for variant in VARIANTS {
-            let mut e = warmed_engine(2, variant);
+            let mut e = warmed_engine(2, variant, false);
             e.run_for_secs(1.0);
             let r = e.report();
             // 2 apps x 2000 units/s x 1.5 s simulated.
@@ -174,14 +187,14 @@ mod tests {
     #[test]
     fn generated_count_is_variant_independent() {
         // Same simulated horizon => same offered load, whatever the
-        // backend or batch size. Units/sec differences are wall time,
+        // batch size. Units/sec differences are wall time,
         // never workload drift. A batched source emits whole bursts, so
         // at the horizon cutoff counts may differ by up to one burst per
         // app — but no more.
         let counts: Vec<u64> = VARIANTS
             .iter()
             .map(|&v| {
-                let mut e = warmed_engine(2, v);
+                let mut e = warmed_engine(2, v, false);
                 e.run_for_secs(1.0);
                 e.report().generated
             })
@@ -196,9 +209,10 @@ mod tests {
 
     #[test]
     fn throughput_reports_rate_unit() {
-        let m = throughput(2, VARIANTS[1], 0.5);
+        let m = throughput(2, VARIANTS[1], 0.25, 3);
         assert_eq!(m.unit, "units/s");
-        assert!(m.value > 0.0);
-        assert!(m.name.starts_with("dataplane/units_per_sec/wheel_perunit/"));
+        assert!(m.min > 0.0 && m.min <= m.value && m.value <= m.max);
+        assert_eq!(m.samples, 3);
+        assert!(m.name.starts_with("dataplane/units_per_sec/batch/"));
     }
 }

@@ -5,17 +5,10 @@
 //! scheduled for the same instant therefore pop in scheduling order, which
 //! keeps simulations bit-for-bit reproducible.
 //!
-//! Two storage backends implement that contract (see [`QueueBackend`]):
-//!
-//! * **`BinaryHeap`** — the reference implementation: a plain binary heap
-//!   of `(time, seq)` entries, `O(log n)` per operation. Simple enough to
-//!   be obviously correct; every other backend is validated against it.
-//! * **`TimerWheel`** — a hierarchical timer wheel ([`crate::wheel`]),
-//!   `O(1)` amortized schedule/pop. The data-plane hot path runs here.
-//!
-//! Backends are *bit-for-bit equivalent*: the same schedule/cancel/pop
-//! script yields the same pop sequence on either, a property enforced by
-//! the randomized `queue_equivalence` suite.
+//! Storage is one binary heap of `(time, seq, payload)` entries, `O(log n)`
+//! per schedule and pop. A heap sift moves whole entries, so the cost per
+//! event scales with the entry size: keep event payloads small and box
+//! rare, bulky variants (the engine's entries are 40 bytes).
 //!
 //! Cancellation is lazy: [`EventQueue::cancel`] marks the handle and the
 //! entry is discarded when it reaches the front. This keeps both
@@ -24,7 +17,6 @@
 
 use crate::hash::FxHashSet;
 use crate::time::SimTime;
-use crate::wheel::Wheel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,20 +24,20 @@ use std::collections::BinaryHeap;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventHandle(u64);
 
-/// Selects the storage structure behind an [`EventQueue`].
+/// Names the storage structure behind an [`EventQueue`]. The binary heap
+/// is the only one; the type remains so configurations that record it
+/// keep their shape.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum QueueBackend {
-    /// Reference `BinaryHeap` implementation, `O(log n)` per op.
+    /// `BinaryHeap` of `(time, seq)`-ordered entries, `O(log n)` per op.
     #[default]
     BinaryHeap,
-    /// Hierarchical timer wheel, `O(1)` amortized per op.
-    TimerWheel,
 }
 
-pub(crate) struct Entry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) payload: E,
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
 }
 
 // Ordering is on (time, seq) only; payload is irrelevant.
@@ -66,51 +58,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The backend storage: anything that can hand back entries in exact
-/// `(time, seq)` order.
-enum Store<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Wheel(Wheel<E>),
-}
-
-impl<E> Store<E> {
-    fn push(&mut self, entry: Entry<E>) {
-        match self {
-            Store::Heap(h) => h.push(Reverse(entry)),
-            Store::Wheel(w) => w.push(entry),
-        }
-    }
-
-    fn pop_min(&mut self) -> Option<Entry<E>> {
-        match self {
-            Store::Heap(h) => h.pop().map(|Reverse(e)| e),
-            Store::Wheel(w) => w.pop_min(),
-        }
-    }
-
-    /// `(time, seq)` of the minimal entry. `&mut` because the wheel may
-    /// advance its cursor to find it.
-    fn peek_min(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            Store::Heap(h) => h.peek().map(|Reverse(e)| (e.time, e.seq)),
-            Store::Wheel(w) => w.peek_min(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Store::Heap(h) => h.len(),
-            Store::Wheel(w) => w.len(),
-        }
-    }
-}
-
 /// A priority queue of timestamped events.
 ///
 /// `E` is the simulation's event payload type, typically an enum defined by
 /// the crate that owns the simulation loop.
 pub struct EventQueue<E> {
-    store: Store<E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Seqs of scheduled events that have neither fired nor been
     /// cancelled. Membership here is what makes a handle live: cancelling
     /// a handle whose event already fired is rejected outright instead of
@@ -129,31 +82,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the reference `BinaryHeap` backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::BinaryHeap)
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            store: match backend {
-                QueueBackend::BinaryHeap => Store::Heap(BinaryHeap::new()),
-                QueueBackend::TimerWheel => Store::Wheel(Wheel::new()),
-            },
+            heap: BinaryHeap::new(),
             pending: FxHashSet::default(),
             cancelled: FxHashSet::default(),
             next_seq: 0,
             scheduled: 0,
             fired: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.store {
-            Store::Heap(_) => QueueBackend::BinaryHeap,
-            Store::Wheel(_) => QueueBackend::TimerWheel,
         }
     }
 
@@ -165,11 +102,11 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.scheduled += 1;
         self.pending.insert(seq);
-        self.store.push(Entry {
+        self.heap.push(Reverse(Entry {
             time: at,
             seq,
             payload,
-        });
+        }));
         EventHandle(seq)
     }
 
@@ -189,7 +126,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest pending event, skipping cancelled entries.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.store.pop_min() {
+        while let Some(Reverse(entry)) = self.heap.pop() {
             if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
                 continue;
             }
@@ -205,12 +142,11 @@ impl<E> EventQueue<E> {
     /// This compacts cancelled entries off the front as a side effect,
     /// so it is `O(k log n)` in the number of cancelled heads.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some((time, seq)) = self.store.peek_min() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
-                self.store.pop_min();
-                self.cancelled.remove(&seq);
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
+                self.heap.pop();
             } else {
-                return Some(time);
+                return Some(entry.time);
             }
         }
         None
@@ -224,7 +160,7 @@ impl<E> EventQueue<E> {
     /// Number of entries currently held (including not-yet-compacted
     /// cancelled entries). Useful for capacity monitoring in tests.
     pub fn raw_len(&self) -> usize {
-        self.store.len()
+        self.heap.len()
     }
 
     /// Number of scheduled events that have neither fired nor been
@@ -262,60 +198,50 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    fn backends() -> [QueueBackend; 2] {
-        [QueueBackend::BinaryHeap, QueueBackend::TimerWheel]
-    }
-
     #[test]
     fn default_backend_is_the_heap_reference() {
-        let q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::BinaryHeap);
-        let q: EventQueue<u8> = EventQueue::with_backend(QueueBackend::TimerWheel);
-        assert_eq!(q.backend(), QueueBackend::TimerWheel);
+        assert_eq!(QueueBackend::default(), QueueBackend::BinaryHeap);
+        let mut q: EventQueue<u8> = EventQueue::default();
+        assert!(q.is_empty());
+        assert_eq!(q.raw_len(), 0);
     }
 
     #[test]
     fn pops_in_time_order() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(30), "c");
-            q.schedule(t(10), "a");
-            q.schedule(t(20), "b");
-            assert_eq!(q.pop(), Some((t(10), "a")));
-            assert_eq!(q.pop(), Some((t(20), "b")));
-            assert_eq!(q.pop(), Some((t(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(30), "c");
+        q.schedule(t(10), "a");
+        q.schedule(t(20), "b");
+        assert_eq!(q.pop(), Some((t(10), "a")));
+        assert_eq!(q.pop(), Some((t(20), "b")));
+        assert_eq!(q.pop(), Some((t(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn fifo_tie_break_at_same_instant() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule(t(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5), i)));
         }
     }
 
     #[test]
     fn cancel_prevents_delivery() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            let h1 = q.schedule(t(1), 1);
-            let h2 = q.schedule(t(2), 2);
-            q.schedule(t(3), 3);
-            assert!(q.cancel(h2));
-            assert!(!q.cancel(h2), "double cancel reports false");
-            assert_eq!(q.pop(), Some((t(1), 1)));
-            assert_eq!(q.pop(), Some((t(3), 3)));
-            assert_eq!(q.pop(), None);
-            // h1 already fired; cancelling it is a no-op reporting false.
-            assert!(!q.cancel(h1));
-        }
+        let mut q = EventQueue::new();
+        let h1 = q.schedule(t(1), 1);
+        let h2 = q.schedule(t(2), 2);
+        q.schedule(t(3), 3);
+        assert!(q.cancel(h2));
+        assert!(!q.cancel(h2), "double cancel reports false");
+        assert_eq!(q.pop(), Some((t(1), 1)));
+        assert_eq!(q.pop(), Some((t(3), 3)));
+        assert_eq!(q.pop(), None);
+        // h1 already fired; cancelling it is a no-op reporting false.
+        assert!(!q.cancel(h1));
     }
 
     /// Regression: cancelling handles whose events already fired must not
@@ -323,23 +249,21 @@ mod tests {
     /// reclaimed by `pop`, so each one would leak forever).
     #[test]
     fn cancel_after_fire_does_not_leak() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            let handles: Vec<_> = (0..1000).map(|i| q.schedule(t(i), i)).collect();
-            while q.pop().is_some() {}
-            for h in &handles {
-                assert!(!q.cancel(*h), "fired handle reported as cancelled");
-            }
-            assert_eq!(q.cancelled_backlog(), 0, "fired handles leaked");
-            assert_eq!(q.raw_len(), 0);
-            // Live cancellations still count — and are reclaimed on pop.
-            let h = q.schedule(t(5000), 1);
-            q.schedule(t(5001), 2);
-            assert!(q.cancel(h));
-            assert_eq!(q.cancelled_backlog(), 1);
-            assert_eq!(q.pop(), Some((t(5001), 2)));
-            assert_eq!(q.cancelled_backlog(), 0);
+        let mut q = EventQueue::new();
+        let handles: Vec<_> = (0..1000).map(|i| q.schedule(t(i), i)).collect();
+        while q.pop().is_some() {}
+        for h in &handles {
+            assert!(!q.cancel(*h), "fired handle reported as cancelled");
         }
+        assert_eq!(q.cancelled_backlog(), 0, "fired handles leaked");
+        assert_eq!(q.raw_len(), 0);
+        // Live cancellations still count — and are reclaimed on pop.
+        let h = q.schedule(t(5000), 1);
+        q.schedule(t(5001), 2);
+        assert!(q.cancel(h));
+        assert_eq!(q.cancelled_backlog(), 1);
+        assert_eq!(q.pop(), Some((t(5001), 2)));
+        assert_eq!(q.cancelled_backlog(), 0);
     }
 
     #[test]
@@ -350,68 +274,60 @@ mod tests {
 
     #[test]
     fn peek_skips_cancelled_heads() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            let h = q.schedule(t(1), 1);
-            q.schedule(t(2), 2);
-            q.cancel(h);
-            assert_eq!(q.peek_time(), Some(t(2)));
-            assert!(!q.is_empty());
-            assert_eq!(q.pop(), Some((t(2), 2)));
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1), 1);
+        q.schedule(t(2), 2);
+        q.cancel(h);
+        assert_eq!(q.peek_time(), Some(t(2)));
+        assert!(!q.is_empty());
+        assert_eq!(q.pop(), Some((t(2), 2)));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn counters_track_lifecycle() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            let h = q.schedule(t(1), ());
-            q.schedule(t(2), ());
-            q.cancel(h);
-            q.pop();
-            assert_eq!(q.total_scheduled(), 2);
-            assert_eq!(q.total_fired(), 1);
-        }
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1), ());
+        q.schedule(t(2), ());
+        q.cancel(h);
+        q.pop();
+        assert_eq!(q.total_scheduled(), 2);
+        assert_eq!(q.total_fired(), 1);
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for backend in backends() {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(10), 10u32);
-            assert_eq!(q.pop(), Some((t(10), 10)));
-            // Scheduling into the "past" is allowed; queue is a pure priority
-            // queue and the driver enforces monotonic delivery semantics.
-            q.schedule(t(5), 5);
-            q.schedule(t(15), 15);
-            assert_eq!(q.pop(), Some((t(5), 5)));
-            let now = t(15) + SimDuration::from_millis(0);
-            assert_eq!(q.pop(), Some((now, 15)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(10), 10u32);
+        assert_eq!(q.pop(), Some((t(10), 10)));
+        // Scheduling into the "past" is allowed; queue is a pure priority
+        // queue and the driver enforces monotonic delivery semantics.
+        q.schedule(t(5), 5);
+        q.schedule(t(15), 15);
+        assert_eq!(q.pop(), Some((t(5), 5)));
+        let now = t(15) + SimDuration::from_millis(0);
+        assert_eq!(q.pop(), Some((now, 15)));
     }
 
     #[test]
     fn large_volume_stays_sorted() {
-        for backend in backends() {
-            // Pseudo-random insertion order, verify global sortedness.
-            let mut q = EventQueue::with_backend(backend);
-            let mut x: u64 = 0x9E3779B97F4A7C15;
-            for _ in 0..10_000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                q.schedule(SimTime::from_nanos(x % 1_000_000), x);
-            }
-            let mut last = SimTime::ZERO;
-            let mut n = 0;
-            while let Some((time, _)) = q.pop() {
-                assert!(time >= last);
-                last = time;
-                n += 1;
-            }
-            assert_eq!(n, 10_000);
+        // Pseudo-random insertion order, verify global sortedness.
+        let mut q = EventQueue::new();
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            q.schedule(SimTime::from_nanos(x % 1_000_000), x);
         }
+        let mut last = SimTime::ZERO;
+        let mut n = 0;
+        while let Some((time, _)) = q.pop() {
+            assert!(time >= last);
+            last = time;
+            n += 1;
+        }
+        assert_eq!(n, 10_000);
     }
 }

@@ -19,7 +19,7 @@
 //!   [`validate::check_certificate`],
 //! * the repair really ran on the warm-basis tier.
 //!
-//! Style mirrors `desim/tests/queue_equivalence.rs`: seeded xorshift
+//! Style mirrors `desim/tests/queue_model.rs`: seeded xorshift
 //! instances, an `Op` enum of scripted mutations, and per-case
 //! divergence messages carrying the seed for replay.
 

@@ -77,11 +77,9 @@ pub struct EngineConfig {
     pub measure_window_secs: f64,
     /// Run length of the split-dispatch striping (see `ChunkedWrr`).
     pub split_chunk: u32,
-    /// Event-queue backend for the simulation core. The two backends are
-    /// bit-for-bit interchangeable (see [`QueueBackend`]); the hierarchical
-    /// timer wheel turns the heap's O(log n) schedule/pop into amortized
-    /// O(1) and is the default. `BinaryHeap` remains available as the
-    /// reference to benchmark against.
+    /// Event-queue backend for the simulation core. The binary heap is
+    /// the only backend (see [`QueueBackend`]), so this field records the
+    /// choice rather than selecting one.
     pub queue_backend: QueueBackend,
     /// Data units coalesced into one link transfer and one CPU burst (NIC
     /// interrupt coalescing). `1` reproduces the per-unit data plane
@@ -157,7 +155,7 @@ impl Default for EngineConfig {
             admission_headroom: 0.75,
             measure_window_secs: 4.0,
             split_chunk: 16,
-            queue_backend: QueueBackend::TimerWheel,
+            queue_backend: QueueBackend::BinaryHeap,
             transfer_batch: 1,
             background: None,
             cpu_cores: None,
@@ -321,7 +319,7 @@ impl EngineBuilder {
                 exec_rng: rng.fork(v as u64),
             })
             .collect();
-        let mut queue = EventQueue::with_backend(config.queue_backend);
+        let mut queue = EventQueue::new();
         let auditor = config.audit.then(|| Box::new(Auditor::new()));
         let audit_period = SimDuration::from_secs_f64(config.audit_period_secs.max(0.05));
         let mut state = EngineState {
@@ -339,6 +337,7 @@ impl EngineBuilder {
             store: UnitStore::new(),
             batches: BatchPool::new(),
             burst_scratch: Vec::new(),
+            drop_scratch: Vec::new(),
             arrive_scratch: Vec::new(),
             in_flight_net: 0,
             control_drops_out: 0,
@@ -362,7 +361,7 @@ impl EngineBuilder {
             }
         }
         for ev in &faults.events {
-            queue.schedule(ev.at, Event::Fault(ev.action.clone()));
+            queue.schedule(ev.at, Event::Fault(Box::new(ev.action.clone())));
         }
         if state.auditor.is_some() {
             queue.schedule(SimTime::ZERO + audit_period, Event::AuditTick);
@@ -444,8 +443,10 @@ struct AppState {
 
 /// Simulation events.
 enum Event {
-    /// A request submitted at a point in simulated time.
-    Submit(ServiceRequest),
+    /// A request submitted at a point in simulated time. Boxed, like
+    /// `Fault`: the payload is large and rare, and inline it would set
+    /// the size of every hot data-plane entry in the queue.
+    Submit(Box<ServiceRequest>),
     /// Composition finished; sources may start emitting.
     AppStart(AppId),
     /// A finite-lifetime application reached its end: tear it down.
@@ -463,7 +464,7 @@ enum Event {
     /// One cross-traffic pulse on an ON-phase node.
     BgPulse { node: NodeId },
     /// An injected fault (or its scheduled recovery) fires.
-    Fault(FaultAction),
+    Fault(Box<FaultAction>),
     /// Periodic auditor checkpoint (scheduled only when auditing).
     AuditTick,
     /// Periodic residual-digest refresh for sharded admission
@@ -472,6 +473,11 @@ enum Event {
     /// admitter's digest.
     DigestRefresh,
 }
+
+// The event queue's heap sifts move whole entries, so every variant's
+// size is paid by every event: keep `Event` at 24 bytes (a 40-byte
+// entry with its time and sequence number) by boxing bulky variants.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 struct EngineState {
     now: SimTime,
@@ -494,6 +500,8 @@ struct EngineState {
     /// Reusable buffer for CPU burst dispatch (capacity warms to
     /// `transfer_batch`; keeps the steady-state loop allocation-free).
     burst_scratch: Vec<Job<UnitRef>>,
+    /// Reusable buffer for the laxity drops of a CPU dispatch.
+    drop_scratch: Vec<Job<UnitRef>>,
     /// Reusable per-batch component counters for deadline staggering:
     /// how many units of each component have already been seen in the
     /// batch being processed. One entry per distinct component per batch
@@ -596,7 +604,7 @@ impl Engine {
 
     /// Schedules a request submission at an absolute simulated time.
     pub fn submit_at(&mut self, at: SimTime, req: ServiceRequest) {
-        self.queue.schedule(at, Event::Submit(req));
+        self.queue.schedule(at, Event::Submit(Box::new(req)));
     }
 
     /// Submits a burst of requests *now* through the batch-admission
@@ -708,7 +716,8 @@ impl Engine {
     /// Schedules a fault plan's events into the running simulation.
     pub fn schedule_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in &plan.events {
-            self.queue.schedule(ev.at, Event::Fault(ev.action.clone()));
+            self.queue
+                .schedule(ev.at, Event::Fault(Box::new(ev.action.clone())));
         }
     }
 
@@ -835,7 +844,7 @@ impl World for EngineState {
         self.now = now;
         match event {
             Event::Submit(req) => {
-                let _ = self.handle_submit(now, req, q);
+                let _ = self.handle_submit(now, *req, q);
             }
             Event::AppStart(app) => self.handle_app_start(now, app, q),
             Event::AppStop(app) => self.handle_app_stop(app),
@@ -844,7 +853,7 @@ impl World for EngineState {
             Event::CpuDone { node } => self.handle_cpu_done(now, node, q),
             Event::BgPhase { node, on } => self.handle_bg_phase(now, node, on, q),
             Event::BgPulse { node } => self.handle_bg_pulse(now, node, q),
-            Event::Fault(action) => self.handle_fault(now, action, q),
+            Event::Fault(action) => self.handle_fault(now, *action, q),
             Event::AuditTick => self.handle_audit_tick(now, q),
             Event::DigestRefresh => self.handle_digest_refresh(now, q),
         }
@@ -1716,11 +1725,12 @@ impl EngineState {
         );
         let burst = self.config.transfer_batch.max(1) as usize;
         let mut chosen = std::mem::take(&mut self.burst_scratch);
+        let mut dropped = std::mem::take(&mut self.drop_scratch);
         chosen.clear();
-        let dropped = self.nodes[node]
+        self.nodes[node]
             .sched
-            .dispatch_burst(now, burst, &mut chosen);
-        for job in dropped {
+            .dispatch_burst(now, burst, &mut chosen, &mut dropped);
+        for job in dropped.drain(..) {
             self.report.count_drop(DropCause::Laxity);
             self.nodes[node].outcomes.record(true);
             self.store.release(job.payload);
@@ -1761,6 +1771,7 @@ impl EngineState {
             self.nodes[node].running.push((u, exec));
         }
         self.burst_scratch = chosen;
+        self.drop_scratch = dropped;
         if !self.nodes[node].running.is_empty() {
             q.schedule(
                 now + SimDuration::from_nanos(total_ns),
@@ -1983,7 +1994,10 @@ impl EngineState {
             } => {
                 if self.nodes[node].alive {
                     self.net.set_latency_factor(node, factor.max(1.0));
-                    q.schedule(now + duration, Event::Fault(FaultAction::LatencyCalm(node)));
+                    q.schedule(
+                        now + duration,
+                        Event::Fault(Box::new(FaultAction::LatencyCalm(node))),
+                    );
                 }
             }
             FaultAction::LatencyCalm(v) => self.net.set_latency_factor(v, 1.0),
@@ -1994,7 +2008,10 @@ impl EngineState {
             } => {
                 if self.nodes[node].alive {
                     self.loss_prob[node] = prob.clamp(0.0, 1.0);
-                    q.schedule(now + duration, Event::Fault(FaultAction::LossCalm(node)));
+                    q.schedule(
+                        now + duration,
+                        Event::Fault(Box::new(FaultAction::LossCalm(node))),
+                    );
                 }
             }
             FaultAction::LossCalm(v) => self.loss_prob[v] = 0.0,
@@ -2092,7 +2109,7 @@ impl EngineState {
     }
 
     fn handle_bg_phase(&mut self, now: SimTime, node: NodeId, on: bool, q: &mut EventQueue<Event>) {
-        let Some(bg) = self.config.background.clone() else {
+        let Some(bg) = &self.config.background else {
             return;
         };
         if on {
@@ -2109,7 +2126,7 @@ impl EngineState {
     }
 
     fn handle_bg_pulse(&mut self, now: SimTime, node: NodeId, q: &mut EventQueue<Event>) {
-        let Some(bg) = self.config.background.clone() else {
+        let Some(bg) = &self.config.background else {
             return;
         };
         if !self.nodes[node].alive {

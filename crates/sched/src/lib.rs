@@ -78,8 +78,9 @@ pub trait Scheduler<T> {
     fn dispatch(&mut self, now: SimTime) -> DispatchOutcome<T>;
 
     /// Dispatches up to `max` units at the *same* instant `now`,
-    /// appending the chosen jobs to `out` in dispatch order and returning
-    /// the deadline-expired drops. Equivalent to calling [`dispatch`]
+    /// appending the chosen jobs to `out` in dispatch order and the
+    /// deadline-expired drops to `dropped` (caller-owned buffers, so a
+    /// steady-state loop allocates nothing). Equivalent to calling [`dispatch`]
     /// `max` times (so `max == 1` is exactly one dispatch), but policies
     /// may override it to scan for hopeless units once per burst instead
     /// of once per pick — laxity at a fixed `now` does not change between
@@ -87,8 +88,13 @@ pub trait Scheduler<T> {
     /// plane's CPU bursts.
     ///
     /// [`dispatch`]: Scheduler::dispatch
-    fn dispatch_burst(&mut self, now: SimTime, max: usize, out: &mut Vec<Job<T>>) -> Vec<Job<T>> {
-        let mut dropped = Vec::new();
+    fn dispatch_burst(
+        &mut self,
+        now: SimTime,
+        max: usize,
+        out: &mut Vec<Job<T>>,
+        dropped: &mut Vec<Job<T>>,
+    ) {
         for _ in 0..max {
             let o = self.dispatch(now);
             dropped.extend(o.dropped);
@@ -97,7 +103,6 @@ pub trait Scheduler<T> {
                 None => break,
             }
         }
-        dropped
     }
 
     /// Empties the queue, returning every queued job (in unspecified

@@ -44,9 +44,8 @@ impl<T> Bag<T> {
         }
     }
 
-    /// Removes all jobs whose laxity at `now` is negative.
-    fn drop_hopeless(&mut self, now: SimTime) -> Vec<Job<T>> {
-        let mut dropped = Vec::new();
+    /// Moves all jobs whose laxity at `now` is negative to `dropped`.
+    fn drop_hopeless(&mut self, now: SimTime, dropped: &mut Vec<Job<T>>) {
         let mut i = 0;
         while i < self.items.len() {
             if !self.items[i].meta.schedulable(now) {
@@ -55,7 +54,6 @@ impl<T> Bag<T> {
                 i += 1;
             }
         }
-        dropped
     }
 
     /// Removes and returns the job minimizing `key`, tie-broken by
@@ -96,22 +94,28 @@ impl<T> Scheduler<T> for LlfScheduler<T> {
     }
 
     fn dispatch(&mut self, now: SimTime) -> DispatchOutcome<T> {
-        let dropped = self.bag.drop_hopeless(now);
+        let mut dropped = Vec::new();
+        self.bag.drop_hopeless(now, &mut dropped);
         let chosen = self.bag.take_min_by(|j| j.meta.laxity(now));
         DispatchOutcome { dropped, chosen }
     }
 
-    fn dispatch_burst(&mut self, now: SimTime, max: usize, out: &mut Vec<Job<T>>) -> Vec<Job<T>> {
+    fn dispatch_burst(
+        &mut self,
+        now: SimTime,
+        max: usize,
+        out: &mut Vec<Job<T>>,
+        dropped: &mut Vec<Job<T>>,
+    ) {
         // One hopeless scan covers the whole burst: laxity at a fixed
         // `now` is fixed, so `drop_hopeless` is idempotent between picks.
-        let dropped = self.bag.drop_hopeless(now);
+        self.bag.drop_hopeless(now, dropped);
         for _ in 0..max {
             match self.bag.take_min_by(|j| j.meta.laxity(now)) {
                 Some(j) => out.push(j),
                 None => break,
             }
         }
-        dropped
     }
 
     fn drain(&mut self) -> Vec<Job<T>> {
@@ -148,20 +152,26 @@ impl<T> Scheduler<T> for EdfScheduler<T> {
     }
 
     fn dispatch(&mut self, now: SimTime) -> DispatchOutcome<T> {
-        let dropped = self.bag.drop_hopeless(now);
+        let mut dropped = Vec::new();
+        self.bag.drop_hopeless(now, &mut dropped);
         let chosen = self.bag.take_min_by(|j| j.meta.deadline.as_secs_f64());
         DispatchOutcome { dropped, chosen }
     }
 
-    fn dispatch_burst(&mut self, now: SimTime, max: usize, out: &mut Vec<Job<T>>) -> Vec<Job<T>> {
-        let dropped = self.bag.drop_hopeless(now);
+    fn dispatch_burst(
+        &mut self,
+        now: SimTime,
+        max: usize,
+        out: &mut Vec<Job<T>>,
+        dropped: &mut Vec<Job<T>>,
+    ) {
+        self.bag.drop_hopeless(now, dropped);
         for _ in 0..max {
             match self.bag.take_min_by(|j| j.meta.deadline.as_secs_f64()) {
                 Some(j) => out.push(j),
                 None => break,
             }
         }
-        dropped
     }
 
     fn drain(&mut self) -> Vec<Job<T>> {

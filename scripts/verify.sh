@@ -19,11 +19,18 @@ cargo clippy --all-targets -- -D warnings
 # checks on.
 RASC_AUDIT=1 cargo test -q -p rasc-core -p workload
 
-# Event-queue backend equivalence: the timer-wheel backend must pop
-# bit-for-bit the same (time, seq) order as the binary-heap reference
-# across seeded randomized schedules. Part of the workspace suite, but
-# named here so a backend change can never slip past verification.
-cargo test -q -p desim --test queue_equivalence
+# Event-queue model check: the binary-heap queue must match a naive
+# sorted-Vec reference model step by step (pop order, cancel verdicts,
+# pending/raw/cancelled counts) across seeded randomized scripts. Part
+# of the workspace suite, but named here so a queue change can never
+# slip past verification.
+cargo test -q -p desim --test queue_model
+
+# Golden run pins: fixed-seed paper-scenario runs (with cross traffic,
+# and with mixed faults) whose digests and outcome counters are recorded
+# constants. A refactor that claims to preserve behaviour must leave
+# them bit-identical; a deliberate change re-records them.
+cargo test -q -p rasc-core --test golden_digest
 
 # Warm-basis repair equivalence: randomized arc-deletion / capacity-cut /
 # cost-bump / node-removal events repaired on the retained simplex basis
@@ -130,11 +137,10 @@ if [ -f BENCH_compose.json ]; then
 fi
 rm -f "$BENCH_OUT"
 
-# Audited fault-injection soak: 180 seeded runs across fault profiles,
-# composers, and data-plane variants (binary-heap and timer-wheel
-# backends, per-unit and batched transfers); exits non-zero on any
-# invariant violation, a serial-vs-parallel digest mismatch, or any
-# per-cell digest that differs between batch-1 backends. RASC_AUDIT=1
+# Audited fault-injection soak: 120 seeded runs across fault profiles,
+# composers, and data-plane variants (per-unit and batched transfers);
+# exits non-zero on any invariant violation or a serial-vs-parallel
+# digest mismatch. RASC_AUDIT=1
 # is redundant belt-and-braces (the soak forces auditing on) but keeps
 # the env-driven default covered too. Takes well under 30 s.
 RASC_AUDIT=1 cargo run --release -q --bin repro -- chaos --quick
