@@ -509,10 +509,10 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     // Thousand-node power-law overlays, concurrent tenants. The serial
     // single-request baseline (per-request snapshot clone + uncapped
     // compose) runs at 1k nodes; the batch pipeline (one snapshot per
-    // batch, capped indexed candidate selection, optimistic workers +
-    // ordered reconcile) runs the full 1k/4k/10k curve. Rates count
-    // *admitted* apps per wall second, so replays and rejections
-    // penalize rather than inflate the headline.
+    // batch, capped candidate selection, optimistic compose + ordered
+    // reconcile) runs the full 1k/4k/10k curve. Rates count *admitted*
+    // apps per wall second, so replays and rejections penalize rather
+    // than inflate the headline.
     if want("admission") {
         use rasc_bench::admission;
         let budget = Duration::from_millis(if quick { 120 } else { 1000 });
@@ -533,33 +533,28 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
                 results.push(admission::serial_apps_per_sec(&sc, budget));
             }
             for &b in &admission::BATCHES {
-                results.push(admission::batch_apps_per_sec(
-                    &format!("batch{b}"),
+                results.push(admission::apps_per_sec(
+                    &format!("admission/apps_per_sec/batch{b}/{n}"),
                     &sc,
+                    1,
                     b,
+                    1,
                     1,
                     budget,
                 ));
             }
-            results.push(admission::batch_apps_per_sec(
-                "batch128_pooled",
-                &sc,
-                128,
-                pool_threads,
-                budget,
-            ));
 
-            // Region-sharded pipeline: shard-local composers over
-            // partial views, remote capacity via the residual digest.
-            // Throughput entries reset the view per burst (directly
-            // comparable to batch128/batch128_pooled above); the
+            // The same pipeline over several regions: region-local
+            // composers over partial views, remote capacity via the
+            // residual digest. Throughput entries reset the view per
+            // burst (directly comparable to batch128 above); the
             // staleness sweep then drains ONE view to saturation and
             // records the conflict/replay curve as the digest refresh
             // interval stretches.
             let shard_counts: &[usize] = if quick { &[4] } else { &[1, 4, 8] };
             for &s in shard_counts {
-                results.push(admission::sharded_apps_per_sec(
-                    &format!("s{s}_b128_r1"),
+                results.push(admission::apps_per_sec(
+                    &format!("admission/sharded_apps_per_sec/s{s}_b128_r1/{n}"),
                     &sc,
                     s,
                     128,
@@ -596,48 +591,16 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             }
         }
 
-        // Candidate-selection kernel: the linear reference scan vs the
-        // capacity-bucket walk, at fixed provider density (p = n/16),
-        // so the linear side grows with n and the indexed side must not.
+        // Candidate-selection kernel at fixed provider density
+        // (p = n/16): the full ranking scan grows with n.
         for &n in &admission::SIZES {
             let (view, providers) = admission::selection_setup(n, 9);
             let mut out = Vec::new();
             results.push(time(quick, &format!("admission/select_linear/{n}"), || {
-                view.select_top_candidates_linear(&providers, admission::CANDIDATE_CAP, &mut out);
+                view.select_top_candidates(&providers, admission::CANDIDATE_CAP, &mut out);
                 black_box(out.len());
             }));
-            let mut out = Vec::new();
-            results.push(time(
-                quick,
-                &format!("admission/select_indexed/{n}"),
-                || {
-                    view.select_top_candidates_indexed(
-                        &providers,
-                        admission::CANDIDATE_CAP,
-                        &mut out,
-                    );
-                    black_box(out.len());
-                },
-            ));
         }
-        let ns_of = |results: &[Measurement], name: String| {
-            results
-                .iter()
-                .find(|m| m.name == name)
-                .map(|m| m.value)
-                .unwrap_or(f64::NAN)
-        };
-        // Sub-linearity headline: how many times better the indexed
-        // walk scales 1k -> 10k than the linear scan (x unit, bigger is
-        // better; > 1 means indexed grows slower than linear).
-        let growth = |kind: &str| {
-            ns_of(&results, format!("admission/select_{kind}/10000"))
-                / ns_of(&results, format!("admission/select_{kind}/1000"))
-        };
-        results.push(record_ratio(
-            "admission/select_sublinearity/10k_over_1k",
-            growth("linear") / growth("indexed"),
-        ));
 
         // Steady-state allocation gate: warm batch admission must stay
         // at a bounded, small allocation count per request (result-graph
@@ -791,12 +754,10 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             continue; // quick mode runs the curve at 1k only
         }
         println!(
-            "admission apps/sec at {n} nodes: batch-1 {:.0}, batch-16 {:.0}, batch-128 {:.0}, \
-             batch-128 pooled {:.0}",
+            "admission apps/sec at {n} nodes: batch-1 {:.0}, batch-16 {:.0}, batch-128 {:.0}",
             apps("batch1"),
             apps("batch16"),
             apps("batch128"),
-            apps("batch128_pooled"),
         );
         let sharded = |s: &str| ns_of(&format!("admission/sharded_apps_per_sec/{s}/{n}"));
         if !sharded("s8_b128_r1").is_nan() {
@@ -810,11 +771,8 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
         }
     }
     println!(
-        "candidate selection 1k->10k growth: linear {:.1}x, indexed {:.1}x \
-         (sub-linearity ratio {:.1}x)",
+        "candidate selection 1k->10k growth: {:.1}x",
         ns_of("admission/select_linear/10000") / ns_of("admission/select_linear/1000"),
-        ns_of("admission/select_indexed/10000") / ns_of("admission/select_indexed/1000"),
-        ns_of("admission/select_sublinearity/10k_over_1k"),
     );
 
     if quick {
@@ -906,7 +864,7 @@ fn chaos_soak_cmd(quick: bool) {
     }
 
     // Sharded-composer axis: shard counts × digest-refresh intervals on
-    // audited engines, plus the global-pipeline twin at shard-count 1.
+    // audited engines, plus a one-worker twin of every multi-region cell.
     let scfg = if quick {
         rasc_bench::ShardedSoakConfig {
             seeds: vec![1, 2],
@@ -937,14 +895,15 @@ fn chaos_soak_cmd(quick: bool) {
     if let Some(bad) = sharded.twin_mismatch() {
         failed = true;
         eprintln!(
-            "SHARDED TWIN MISMATCH seed {} refresh {}s: sharded {:016x} != global {:016x}",
+            "SHARDED TWIN MISMATCH seed {} shards {} refresh {}s: two workers {:016x} != one {:016x}",
             bad.seed,
+            bad.shards,
             bad.refresh_secs,
             bad.batch_digest,
             bad.twin_digest.expect("mismatch implies a twin")
         );
     } else {
-        println!("one-shard cells are digest-identical to the global pipeline");
+        println!("multi-region cells are digest-identical on one and two workers");
     }
     println!(
         "sharded violations: {} | digest: {:016x} | wall {:.2}s",

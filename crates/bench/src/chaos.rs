@@ -210,15 +210,16 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosSummary {
 
 /// Axes of the sharded-admission soak: shard counts × digest-refresh
 /// intervals, each cell an audited engine over a clustered overlay
-/// admitting bursts through the region-sharded pipeline while the
-/// auditor checkpoints (including the digest-staleness bound). Every
-/// shard-count-1 cell also runs a `shards = 0` twin and records its
-/// batch digest — the two pipelines must agree bit-for-bit.
+/// admitting bursts through the batch pipeline while the auditor
+/// checkpoints (including the digest-staleness bound). Every
+/// multi-region cell also runs a twin that admits the same bursts on
+/// one worker instead of two and records its batch digest — worker
+/// count must never change the outcome.
 #[derive(Clone, Debug)]
 pub struct ShardedSoakConfig {
     /// Seeds; each seeds catalog, topology, and engine RNG.
     pub seeds: Vec<u64>,
-    /// Shard counts under test (1 triggers the serial-twin comparison).
+    /// Shard counts under test (above 1 triggers the one-worker twin).
     pub shard_counts: Vec<usize>,
     /// Digest refresh periods in simulated seconds (the staleness axis).
     pub refresh_secs: Vec<f64>,
@@ -258,7 +259,7 @@ pub struct ShardedSoakRun {
     pub refresh_secs: f64,
     /// Folded digest of both bursts' admission outcomes.
     pub batch_digest: u64,
-    /// The `shards = 0` twin's folded batch digest (shard-count-1 cells
+    /// The one-worker twin's folded batch digest (multi-region cells
     /// only); must equal `batch_digest`.
     pub twin_digest: Option<u64>,
     /// Total audit violations (retained + suppressed); 0 when healthy.
@@ -282,13 +283,13 @@ pub struct ShardedSoakSummary {
 
 impl ShardedSoakSummary {
     /// Whether every cell finished without a violation AND every
-    /// shard-count-1 cell matched its global twin.
+    /// multi-region cell matched its one-worker twin.
     pub fn clean(&self) -> bool {
         self.violations == 0 && self.twin_mismatch().is_none()
     }
 
-    /// First shard-count-1 cell whose digest differs from its
-    /// `shards = 0` twin, if any. `None` is the healthy outcome.
+    /// First multi-region cell whose digest differs from its one-worker
+    /// twin, if any. `None` is the healthy outcome.
     pub fn twin_mismatch(&self) -> Option<&ShardedSoakRun> {
         self.runs
             .iter()
@@ -297,7 +298,7 @@ impl ShardedSoakSummary {
 }
 
 /// Builds one audited engine over a power-law overlay for the sharded
-/// soak; `shards = 0` builds the global-pipeline twin.
+/// soak.
 fn build_sharded_engine(cfg: &ShardedSoakConfig, seed: u64, shards: usize, refresh: f64) -> Engine {
     let n = cfg.nodes;
     let catalog = ServiceCatalog::synthetic(4, seed);
@@ -319,13 +320,15 @@ fn build_sharded_engine(cfg: &ShardedSoakConfig, seed: u64, shards: usize, refre
         .build()
 }
 
-/// Drives one engine through the soak workload: two bursts with the
-/// fault-free horizon split around them, then teardown under the final
-/// audit. Returns (folded batch digest, audit report, checkpoints).
+/// Drives one engine through the soak workload: two bursts admitted on
+/// `workers` workers with the fault-free horizon split around them,
+/// then teardown under the final audit. Returns (folded batch digest,
+/// audit report, checkpoints).
 fn drive_sharded(
     cfg: &ShardedSoakConfig,
     e: &mut Engine,
     n: usize,
+    workers: usize,
 ) -> (u64, u64, Vec<String>, u64) {
     let burst = |o: usize| -> Vec<ServiceRequest> {
         (0..16)
@@ -339,9 +342,9 @@ fn drive_sharded(
             })
             .collect()
     };
-    let first = e.submit_batch(burst(0), 2);
+    let first = e.submit_batch(burst(0), workers);
     e.run_for_secs(0.4 * cfg.horizon_secs);
-    let second = e.submit_batch(burst(3), 2);
+    let second = e.submit_batch(burst(3), workers);
     e.run_for_secs(0.6 * cfg.horizon_secs);
     let audit = e.finish_run();
     let digest = fnv1a64([first.digest, second.digest]);
@@ -353,7 +356,7 @@ fn drive_sharded(
     )
 }
 
-/// One sharded-soak cell (plus the global twin at shard-count 1).
+/// One sharded-soak cell (plus the one-worker twin when multi-region).
 fn run_sharded_cell(
     cfg: &ShardedSoakConfig,
     seed: u64,
@@ -362,11 +365,11 @@ fn run_sharded_cell(
 ) -> ShardedSoakRun {
     let n = cfg.nodes;
     let mut e = build_sharded_engine(cfg, seed, shards, refresh);
-    let (batch_digest, violations, messages, checkpoints) = drive_sharded(cfg, &mut e, n);
-    let twin_digest = (shards == 1).then(|| {
-        let mut twin = build_sharded_engine(cfg, seed, 0, refresh);
-        let (d, v, m, _) = drive_sharded(cfg, &mut twin, n);
-        debug_assert_eq!(v, 0, "global twin violated the audit: {m:?}");
+    let (batch_digest, violations, messages, checkpoints) = drive_sharded(cfg, &mut e, n, 2);
+    let twin_digest = (shards > 1).then(|| {
+        let mut twin = build_sharded_engine(cfg, seed, shards, refresh);
+        let (d, v, m, _) = drive_sharded(cfg, &mut twin, n, 1);
+        debug_assert_eq!(v, 0, "one-worker twin violated the audit: {m:?}");
         d
     });
     ShardedSoakRun {
@@ -443,14 +446,14 @@ mod tests {
         assert_eq!(a.runs.len(), cfg.runs());
         assert_eq!(a.violations, 0, "{:#?}", a.runs);
         if let Some(bad) = a.twin_mismatch() {
-            panic!("sharded != global at one shard: {bad:#?}");
+            panic!("one worker != two workers: {bad:#?}");
         }
         assert!(a.runs.iter().all(|r| r.checkpoints > 0));
-        // Every shard-count-1 cell carried a twin, no other cell did.
+        // Every multi-region cell carried a twin, no other cell did.
         assert!(a
             .runs
             .iter()
-            .all(|r| (r.shards == 1) == r.twin_digest.is_some()));
+            .all(|r| (r.shards > 1) == r.twin_digest.is_some()));
         // Worker count must not change the matrix digest.
         let b = sharded_soak_threads(&cfg, 2);
         assert_eq!(a.digest, b.digest, "digest depends on worker count");

@@ -22,7 +22,7 @@
 //! not the variant. Bigger is better: `scripts/verify.sh` inverts its
 //! regression tripwire for the `units/s` unit.
 
-use crate::microbench::{count_allocations, record_rate, Measurement};
+use crate::microbench::{count_allocations, median_of, record_rate, Measurement};
 use desim::SimDuration;
 use rasc_core::compose::ComposerKind;
 use rasc_core::engine::{BackgroundTraffic, Engine, EngineConfig};
@@ -130,21 +130,17 @@ pub fn throughput(
 ) -> Measurement {
     let name = format!("dataplane/units_per_sec/{}/{apps}", variant.label);
     let mut e = warmed_engine(apps, variant, false);
-    let mut slices: Vec<Measurement> = (0..samples.max(1))
-        .map(|_| {
-            let before = e.report().generated;
-            let start = Instant::now();
-            e.run_for_secs(horizon_secs);
-            let wall = start.elapsed();
-            record_rate(&name, e.report().generated - before, wall)
-        })
-        .collect();
-    slices.sort_by(|a, b| a.value.total_cmp(&b.value));
-    let mut m = slices[slices.len() / 2].clone();
-    m.min = slices[0].value;
-    m.max = slices[slices.len() - 1].value;
-    m.samples = slices.len();
-    m
+    median_of(
+        (0..samples.max(1))
+            .map(|_| {
+                let before = e.report().generated;
+                let start = Instant::now();
+                e.run_for_secs(horizon_secs);
+                let wall = start.elapsed();
+                record_rate(&name, e.report().generated - before, wall)
+            })
+            .collect(),
+    )
 }
 
 /// Heap allocations during one simulated second of steady-state traffic

@@ -193,6 +193,19 @@ pub fn record_rate(name: &str, ops: u64, elapsed: Duration) -> Measurement {
     }
 }
 
+/// Folds repeated samples of one entry into a single measurement: the
+/// median sample (upper median for an even count), with the slowest and
+/// fastest sample's values as min/max and the sample count.
+pub fn median_of(mut samples: Vec<Measurement>) -> Measurement {
+    assert!(!samples.is_empty(), "need at least one sample");
+    samples.sort_by(|a, b| a.value.total_cmp(&b.value));
+    let mut m = samples[samples.len() / 2].clone();
+    m.min = samples[0].value;
+    m.max = samples[samples.len() - 1].value;
+    m.samples = samples.len();
+    m
+}
+
 /// Records a dimensionless ratio — e.g. a speedup of one benchmark over
 /// another — reported as `x` (bigger is better; the regression tripwire
 /// inverts its comparison for this unit, like `units/s`).

@@ -1,64 +1,54 @@
-//! Parallel batch admission: compose many requests concurrently against
-//! one snapshot, then commit deterministically.
+//! Batch admission: compose a burst of requests against one snapshot,
+//! then commit deterministically.
 //!
 //! The single-request path costs one measured-view snapshot plus one
-//! composition per request, serially. At thousand-node scale the
-//! snapshot alone is `O(n)`, and requests arrive in bursts — so the
-//! batch pipeline amortizes the snapshot over the burst and runs the
-//! expensive part (composition) on `desim::pool` workers:
+//! composition per request. At thousand-node scale the snapshot alone
+//! is `O(n)`, and requests arrive in bursts, so the batch pipeline
+//! ([`ShardedAdmitter`](super::ShardedAdmitter)) amortizes the snapshot
+//! over the burst in two phases:
 //!
-//! 1. **Optimistic phase (parallel).** Every item composes against the
-//!    *same* base snapshot — not against earlier items' reservations —
-//!    on a pooled worker arena (a retained [`Composer`] whose
-//!    `FlowNetwork`/solver buffers survive across items and batches)
-//!    and a pooled clone of the base view. The worker wraps each
-//!    attempt in an outer view transaction and rolls it back after
-//!    recording the result, so the pooled view returns to the base
-//!    state bit-exactly (the undo log restores clamped values by
-//!    snapshot) and is reused for the next item. Before each item the
-//!    arena drops its warm-start state
+//! 1. **Optimistic phase.** Every item composes against its region's
+//!    view of the *same* base snapshot, not against earlier items'
+//!    reservations, on a retained worker arena (a [`Composer`] whose
+//!    `FlowNetwork`/solver buffers survive across items and batches).
+//!    Each attempt runs inside an outer view transaction that is rolled
+//!    back after the result is recorded, so the view returns to the base
+//!    state bit-exactly and is reused for the next item. Before each
+//!    item the arena drops its warm-start state
 //!    ([`Composer::forget_warm_state`]): warm starts never change
 //!    composition cost, but they can tilt equal-cost tie-breaking, and
-//!    the pipeline must produce identical placements no matter which
-//!    worker — with whatever solve history — picks an item up.
-//!    Composing everything against the base (rather than a racing,
-//!    partially-updated view) is what makes the phase order-free:
-//!    item `i`'s proposal never depends on how items were scheduled.
+//!    the pipeline must produce identical placements whichever worker
+//!    picks an item up. Composing everything against the base is what
+//!    makes the phase order-free: item `i`'s proposal never depends on
+//!    how items were scheduled.
 //!
-//! 2. **Reconcile phase (serial, commit order).** Proposals are
-//!    committed in the order the admitter's [`OrderPolicy`] dictates —
-//!    first-submitted by default, or a weighted ordering (lightest or
-//!    heaviest requested load first, after Benoit et al.'s analysis of
-//!    admission orderings) when contended capacity should go to a
-//!    different winner than arrival order picks. The policy is a pure
-//!    function of the items, so it cannot perturb determinism. Each
-//!    proposal is checked against the *authoritative* view (base plus
-//!    every earlier winner) with the committed-rate ledger formula
-//!    (`overcommits_a_host`, the same arithmetic the engine's install
-//!    path and the auditor use): a proposal that still fits is applied
-//!    as-is; one that lost its capacity to an earlier winner is a
-//!    **conflict**, and the item is *replayed* — recomposed serially
-//!    against the authoritative view, exactly like single-request
-//!    admission — so a burst colliding on one hot host degrades to the
-//!    serial outcome instead of rejecting work that still fits
-//!    elsewhere. Items whose optimistic compose already failed are
-//!    rejected outright: the authoritative view is the base minus
-//!    winners' capacity, so what failed against the base cannot
-//!    succeed later.
+//! 2. **Reconcile phase (serial, submission order).** This module's
+//!    [`reconcile_proposals`] checks each proposal against the
+//!    *authoritative* view (base plus every earlier winner) with the
+//!    committed-rate ledger formula (`overcommits_a_host`, the same
+//!    arithmetic the engine's install path and the auditor use). A
+//!    proposal that still fits is applied as-is. One that lost its
+//!    capacity to an earlier winner is a **conflict**, and the item is
+//!    *replayed*: recomposed serially against the authoritative view,
+//!    exactly like single-request admission. A burst colliding on one
+//!    hot host therefore degrades to the serial outcome instead of
+//!    rejecting work that still fits elsewhere. Items whose optimistic
+//!    compose already failed are rejected outright: the authoritative
+//!    view is the base minus winners' capacity, so what failed against
+//!    the base cannot succeed later.
 //!
-//! Both phases are deterministic functions of (base view, items, seed):
-//! running with one worker or sixteen yields digest-equal outcomes,
-//! which `tests/batch_determinism.rs` asserts and
+//! Both phases are deterministic functions of (base view, items, seed,
+//! region map): running with one worker or sixteen yields digest-equal
+//! outcomes, which `tests/batch_determinism.rs` asserts and
 //! [`BatchOutcome::digest`] makes cheap to compare.
 
-use super::{Composer, ComposerKind};
+use super::Composer;
 use crate::compose::mincost::overcommits_a_host;
 use crate::compose::{apply_reservations, ComposeError, ProviderMap};
 use crate::model::{ExecutionGraph, ServiceCatalog, ServiceRequest};
 use crate::view::SystemView;
 use desim::SimRng;
 use std::hash::Hasher;
-use std::sync::Mutex;
 
 /// One request of a batch: what `Engine::handle_submit` hands its
 /// composer, minus the view (the admitter owns the snapshot).
@@ -89,13 +79,17 @@ pub struct BatchOutcome {
     pub replayed: Vec<usize>,
     /// Reconcile-phase accounting.
     pub stats: ReconcileStats,
+    /// Admitted requests with at least one placement outside the
+    /// submitting source's home region: the proposals that rode on
+    /// digest (possibly stale) information. Always 0 with one region.
+    pub cross_shard: usize,
 }
 
 impl BatchOutcome {
     /// Order-sensitive digest of every per-item outcome (placements at
     /// full bit precision, rejections by error identity) — two digest-
     /// equal batches admitted the same apps onto the same hosts at the
-    /// same rates. Serial (one worker) and pooled runs must match.
+    /// same rates. Runs on one worker and on many must match.
     pub fn digest(&self) -> u64 {
         let mut h = desim::hash::FxHasher::default();
         for (i, r) in self.results.iter().enumerate() {
@@ -126,6 +120,10 @@ impl BatchOutcome {
                     h.write_u8(4);
                     h.write_usize(*s);
                 }
+                Err(ComposeError::DeadSource(v)) => {
+                    h.write_u8(5);
+                    h.write_usize(*v);
+                }
             }
         }
         for &i in &self.replayed {
@@ -153,79 +151,24 @@ pub(crate) fn mix(mut x: u64) -> u64 {
 /// replay never re-rolls its optimistic phase's random choices.
 pub(crate) const REPLAY_SALT: u64 = 0x5245504C4159;
 
-/// Which proposal wins contended capacity: the commit order of the
-/// reconcile phase. Benoit et al. (PAPERS.md) analyze how admission
-/// orderings trade throughput against fairness on heterogeneous
-/// platforms; the pipeline exposes the knob while keeping every policy a
-/// pure, deterministic function of the submitted items.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderPolicy {
-    /// Commit in submission order — first submitted wins (the default,
-    /// and the only policy with no information about request weight).
-    #[default]
-    FirstSubmitted,
-    /// Lightest requested load (total bits/s) first, ties by submission
-    /// order: favors admitted-count, starving heavy requests last.
-    SmallestFirst,
-    /// Heaviest requested load first: a throughput-weighted priority
-    /// that lets big tenants claim contended capacity.
-    LargestFirst,
-}
-
-impl OrderPolicy {
-    /// The commit order, as indices into `items`. Always a permutation;
-    /// ties never reorder (submission index breaks them), so the order
-    /// is deterministic for any input.
-    pub(crate) fn commit_order(self, items: &[BatchItem]) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        let weight = |i: usize| items[i].0.total_bits_per_sec();
-        match self {
-            OrderPolicy::FirstSubmitted => {}
-            OrderPolicy::SmallestFirst => {
-                order.sort_by(|&a, &b| weight(a).total_cmp(&weight(b)).then(a.cmp(&b)));
-            }
-            OrderPolicy::LargestFirst => {
-                order.sort_by(|&a, &b| weight(b).total_cmp(&weight(a)).then(a.cmp(&b)));
-            }
-        }
-        order
-    }
-
-    /// Bench/report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            OrderPolicy::FirstSubmitted => "first_submitted",
-            OrderPolicy::SmallestFirst => "smallest_first",
-            OrderPolicy::LargestFirst => "largest_first",
-        }
-    }
-}
-
-/// The serial validate-and-commit pass shared by the global
-/// [`BatchAdmitter`] and the region-sharded admitter: walk proposals in
-/// commit order against the authoritative `view`, apply what still fits,
-/// replay conflicts with the per-item replay RNG stream. Sharing this
-/// code (rather than re-implementing it per pipeline) is what makes the
-/// shard-count=1 pipeline digest-identical to the global one by
-/// construction: identical proposals in, identical commits out.
+/// The serial validate-and-commit pass: walk proposals in submission
+/// order against the authoritative `view`, apply what still fits,
+/// replay conflicts with the per-item replay RNG stream. Returns the
+/// outcome with `cross_shard` still 0 (the caller owns the region map).
 pub(crate) fn reconcile_proposals(
     view: &mut SystemView,
     catalog: &ServiceCatalog,
     items: &[BatchItem],
     proposals: Vec<Result<ExecutionGraph, ComposeError>>,
-    order: &[usize],
     seed: u64,
     arena: &mut dyn Composer,
 ) -> BatchOutcome {
     debug_assert_eq!(items.len(), proposals.len());
-    debug_assert_eq!(items.len(), order.len());
     let mut stats = ReconcileStats::default();
     let mut replayed = Vec::new();
-    let mut slots: Vec<Option<Result<ExecutionGraph, ComposeError>>> =
-        proposals.into_iter().map(Some).collect();
-    for &i in order {
-        let (req, providers) = &items[i];
-        let outcome = match slots[i].take().expect("commit order is a permutation") {
+    let mut results = Vec::with_capacity(items.len());
+    for (i, ((req, providers), proposal)) in items.iter().zip(proposals).enumerate() {
+        let outcome = match proposal {
             Err(e) => {
                 // Failed against the base snapshot; the view only has
                 // less capacity now.
@@ -250,163 +193,23 @@ pub(crate) fn reconcile_proposals(
                 }
             }
         };
-        slots[i] = Some(outcome);
+        results.push(outcome);
     }
-    replayed.sort_unstable();
     BatchOutcome {
-        results: slots
-            .into_iter()
-            .map(|s| s.expect("every index committed exactly once"))
-            .collect(),
+        results,
         replayed,
         stats,
-    }
-}
-
-/// The batch admission pipeline. Owns a pool of worker arenas
-/// (composers) that persist across batches, so the steady state rebuilds
-/// flow networks inside retained buffers instead of allocating them.
-pub struct BatchAdmitter {
-    threads: usize,
-    order: OrderPolicy,
-    factory: Box<dyn Fn() -> Box<dyn Composer + Send> + Send + Sync>,
-    arenas: Mutex<Vec<Box<dyn Composer + Send>>>,
-    /// Worker copies of base snapshots from previous batches (at most one
-    /// per worker). Re-synced to the current base with
-    /// `SystemView::clone_from`, which reuses every heap buffer — so a
-    /// steady-state batch performs zero snapshot allocations where a
-    /// fresh `clone()` would perform `O(n)` per worker.
-    views: Mutex<Vec<SystemView>>,
-}
-
-impl std::fmt::Debug for BatchAdmitter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchAdmitter")
-            .field("threads", &self.threads)
-            .finish_non_exhaustive()
-    }
-}
-
-impl BatchAdmitter {
-    /// An admitter running `threads` optimistic workers whose arenas are
-    /// built by `factory`. `threads == 1` composes inline — the
-    /// reference execution the parallel runs must digest-match.
-    pub fn new(
-        threads: usize,
-        factory: impl Fn() -> Box<dyn Composer + Send> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        BatchAdmitter {
-            threads,
-            order: OrderPolicy::default(),
-            factory: Box::new(factory),
-            arenas: Mutex::new(Vec::new()),
-            views: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A default-configuration admitter over `kind` composers.
-    pub fn for_kind(threads: usize, kind: ComposerKind) -> Self {
-        Self::new(threads, move || kind.build())
-    }
-
-    /// Replaces the commit-ordering policy (default: first submitted).
-    pub fn with_order(mut self, order: OrderPolicy) -> Self {
-        self.order = order;
-        self
-    }
-
-    fn take_arena(&self) -> Box<dyn Composer + Send> {
-        self.arenas.lock().unwrap().pop().unwrap_or_else(|| {
-            let mut c = (self.factory)();
-            // Worker arenas are shared by every item of every batch, so
-            // per-app retained-repair state would be misaddressed; the
-            // engine repairs batch-admitted apps by cold recomposition.
-            c.set_retention(false);
-            c
-        })
-    }
-
-    fn put_arena(&self, arena: Box<dyn Composer + Send>) {
-        self.arenas.lock().unwrap().push(arena);
-    }
-
-    /// Admits `items` against `view` (the batch's base snapshot): runs
-    /// the optimistic phase on the worker pool, then commits winners and
-    /// replays conflicts in item order. On return, `view` carries
-    /// exactly the admitted results' reservations.
-    ///
-    /// `seed` feeds the per-item RNG streams (`mix(seed, index)`), so
-    /// outcomes are a pure function of (view, items, seed) — worker
-    /// count and scheduling cannot shift them.
-    pub fn admit_batch(
-        &self,
-        view: &mut SystemView,
-        catalog: &ServiceCatalog,
-        items: &[BatchItem],
-        seed: u64,
-    ) -> BatchOutcome {
-        assert!(!view.in_transaction(), "batch over a half-open snapshot");
-        // Pooled base-view copies, populated lazily: at most one per
-        // worker per batch, reused across that worker's items via
-        // rollback (bit-exact, so item k sees the same base as item 0).
-        // `synced` holds views already at *this* batch's base; stale
-        // views from earlier batches live in `self.views` and are
-        // re-synced allocation-free on first use.
-        let synced: Mutex<Vec<SystemView>> = Mutex::new(Vec::new());
-        let base: &SystemView = view;
-        let proposals: Vec<Result<ExecutionGraph, ComposeError>> =
-            desim::pool::parallel_map_threads(self.threads, items, |i, (req, providers)| {
-                let mut arena = self.take_arena();
-                let mut work = synced.lock().unwrap().pop().unwrap_or_else(|| {
-                    match self.views.lock().unwrap().pop() {
-                        Some(mut stale) => {
-                            stale.clone_from(base);
-                            stale
-                        }
-                        None => base.clone(),
-                    }
-                });
-                arena.forget_warm_state();
-                let mut rng = SimRng::new(mix(seed ^ i as u64));
-                work.begin_transaction();
-                let result = arena.compose(req, catalog, providers, &mut work, &mut rng);
-                work.rollback_transaction();
-                synced.lock().unwrap().push(work);
-                self.put_arena(arena);
-                result
-            });
-        // Return worker views to the cross-batch pool.
-        self.views
-            .lock()
-            .unwrap()
-            .append(&mut synced.into_inner().unwrap());
-
-        // Serial reconcile in the policy's commit order: the first
-        // committed proposal wins its capacity; later conflicting
-        // proposals replay against what is actually left.
-        let order = self.order.commit_order(items);
-        let mut arena = self.take_arena();
-        let outcome = reconcile_proposals(
-            view,
-            catalog,
-            items,
-            proposals,
-            &order,
-            seed,
-            arena.as_mut(),
-        );
-        self.put_arena(arena);
-        outcome
+        cross_shard: 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::MinCostComposer;
+    use crate::compose::{MinCostComposer, ShardedAdmitter};
     use crate::model::ServiceCatalog;
     use desim::SimDuration;
+    use overlay::RegionMap;
     use simnet::Topology;
 
     fn setup(n: usize) -> (ServiceCatalog, SystemView, ProviderMap) {
@@ -423,20 +226,23 @@ mod tests {
         (catalog, view, providers)
     }
 
+    /// `k` requests from sources spread over the overlay (so a
+    /// multi-region admitter routes them to several regions) to the
+    /// last node.
     fn requests(k: usize, rate: f64, n: usize) -> Vec<BatchItem> {
         let (_, _, providers) = setup(n);
         (0..k)
-            .map(|_| {
+            .map(|i| {
                 (
-                    ServiceRequest::chain(&[0, 2], rate, 0, n - 1),
+                    ServiceRequest::chain(&[0, 2], rate, i % (n - 1), n - 1),
                     providers.clone(),
                 )
             })
             .collect()
     }
 
-    fn mincost_admitter(threads: usize) -> BatchAdmitter {
-        BatchAdmitter::new(threads, || Box::new(MinCostComposer::default()))
+    fn mincost_admitter(regions: RegionMap, threads: usize) -> ShardedAdmitter {
+        ShardedAdmitter::new(regions, threads, 1, || Box::new(MinCostComposer::default()))
     }
 
     #[test]
@@ -445,10 +251,13 @@ mod tests {
         let (catalog, base, _) = setup(n);
         let items = requests(12, 8.0, n);
         let mut v1 = base.clone();
-        let out1 = mincost_admitter(1).admit_batch(&mut v1, &catalog, &items, 7);
+        let out1 = mincost_admitter(RegionMap::key_space(n, 3), 1)
+            .admit_batch(&mut v1, &catalog, &items, 7);
         let mut v4 = base.clone();
-        let out4 = mincost_admitter(4).admit_batch(&mut v4, &catalog, &items, 7);
+        let out4 = mincost_admitter(RegionMap::key_space(n, 3), 4)
+            .admit_batch(&mut v4, &catalog, &items, 7);
         assert_eq!(out1.digest(), out4.digest());
+        assert_eq!(out1.cross_shard, out4.cross_shard);
         assert!(v1 == v4, "ledgers diverged");
         assert!(out1.admitted() > 0);
     }
@@ -473,7 +282,8 @@ mod tests {
             .map(|_| (ServiceRequest::chain(&[0], 70.0, 0, 3), providers.clone()))
             .collect();
         let mut v = view.clone();
-        let out = mincost_admitter(2).admit_batch(&mut v, &catalog, &items, 1);
+        let out =
+            mincost_admitter(RegionMap::single(4), 2).admit_batch(&mut v, &catalog, &items, 1);
         assert!(out.stats.conflicts > 0, "expected capacity conflicts");
         // The view carries exactly the admitted reservations: replaying
         // them onto a fresh copy reproduces it.
@@ -484,55 +294,12 @@ mod tests {
             }
         }
         assert!(replay == v, "view must equal base + admitted reservations");
-        // And a parallel run agrees.
+        // And a run on two regions, composed in parallel, agrees: every
+        // request comes from node 0, so one region does all the work.
         let mut v2 = view.clone();
-        let out2 = mincost_admitter(3).admit_batch(&mut v2, &catalog, &items, 1);
+        let out2 = mincost_admitter(RegionMap::key_space(4, 2), 3)
+            .admit_batch(&mut v2, &catalog, &items, 1);
         assert_eq!(out.digest(), out2.digest());
-    }
-
-    #[test]
-    fn order_policy_decides_the_contention_winner() {
-        // One provider host at 1 Mbps (~122 du/s per direction); a
-        // 60 du/s and an 80 du/s request each fit alone, never together.
-        let catalog = ServiceCatalog::synthetic(1, 3);
-        let view = SystemView::fresh(&Topology::uniform(
-            4,
-            1_000_000.0,
-            SimDuration::from_millis(5),
-        ));
-        let mut providers = ProviderMap::new();
-        providers.insert(0, vec![1]);
-        let items: Vec<BatchItem> = [60.0, 80.0]
-            .iter()
-            .map(|&r| (ServiceRequest::chain(&[0], r, 0, 3), providers.clone()))
-            .collect();
-        let run = |policy: OrderPolicy| {
-            let mut v = view.clone();
-            let out = mincost_admitter(2)
-                .with_order(policy)
-                .admit_batch(&mut v, &catalog, &items, 5);
-            (out.results[0].is_ok(), out.results[1].is_ok(), out)
-        };
-        // Submission order and lightest-first both admit the 60 du/s
-        // request; heaviest-first hands the host to the 80 du/s one.
-        assert_eq!(
-            (true, false),
-            (
-                run(OrderPolicy::FirstSubmitted).0,
-                run(OrderPolicy::FirstSubmitted).1
-            )
-        );
-        assert_eq!(
-            (true, false),
-            (
-                run(OrderPolicy::SmallestFirst).0,
-                run(OrderPolicy::SmallestFirst).1
-            )
-        );
-        let (big0, big1, out) = run(OrderPolicy::LargestFirst);
-        assert_eq!((false, true), (big0, big1));
-        assert_eq!(out.stats.conflicts, 1);
-        assert_eq!(out.stats.replay_rejected, 1);
     }
 
     #[test]
@@ -552,8 +319,12 @@ mod tests {
             )
             .unwrap();
         let mut batch_view = base.clone();
-        let out =
-            mincost_admitter(1).admit_batch(&mut batch_view, &catalog, &[(req, providers)], 123);
+        let out = mincost_admitter(RegionMap::single(n), 1).admit_batch(
+            &mut batch_view,
+            &catalog,
+            &[(req, providers)],
+            123,
+        );
         let batched = out.results[0].as_ref().unwrap();
         assert_eq!(&direct, batched, "single-item batch must match direct");
         assert!(direct_view == batch_view);

@@ -157,9 +157,6 @@ struct Scratch {
     last_meta: Option<SolveMeta>,
     /// Capped candidate set of the layer being wired (reused buffer).
     selected: Vec<simnet::NodeId>,
-    /// Sorted copy of an unsorted provider list (selection needs
-    /// ascending ids for its binary-search membership test).
-    sorted_hosts: Vec<simnet::NodeId>,
 }
 
 /// What [`CachedSubstream`] needs beyond the arena itself.
@@ -167,21 +164,6 @@ struct Scratch {
 struct SolveMeta {
     layers: Vec<Vec<(mincostflow::EdgeId, simnet::NodeId)>>,
     host_costs: Vec<(simnet::NodeId, i64)>,
-}
-
-/// Which top-k implementation trims candidate sets when
-/// [`MinCostComposer::candidate_cap`] is set. Both produce identical
-/// candidate sets (`SystemView::select_top_candidates_{indexed,linear}`
-/// share one exact ranking); `Linear` exists as the reference the
-/// equivalence suite compares against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CandidateSelection {
-    /// Capacity-bucket walk — candidate enumeration independent of the
-    /// node count at fixed provider density.
-    #[default]
-    Indexed,
-    /// Full provider scan (the reference implementation).
-    Linear,
 }
 
 /// The RASC composer.
@@ -198,8 +180,6 @@ pub struct MinCostComposer {
     /// size at 1k–10k nodes. `None` (the default) preserves the
     /// classic consider-everyone behaviour exactly.
     pub candidate_cap: Option<usize>,
-    /// How the cap is computed (equivalence-suite hook).
-    pub selection: CandidateSelection,
     /// Whether successful solves are snapshotted for incremental repair
     /// (cloning the arena per substream). Batch-worker arenas turn this
     /// off — see [`Composer::set_retention`].
@@ -215,7 +195,6 @@ impl Default for MinCostComposer {
             algorithm: Algorithm::default(),
             latencies: None,
             candidate_cap: None,
-            selection: CandidateSelection::default(),
             retain_solves: true,
             scratch: Scratch::default(),
             cache: CompositionCache::default(),
@@ -445,10 +424,8 @@ impl MinCostComposer {
             solver,
             last_meta,
             selected,
-            sorted_hosts,
         } = &mut self.scratch;
         let candidate_cap = self.candidate_cap;
-        let selection = self.selection;
         let retain_solves = self.retain_solves;
         *last_meta = None;
         net.reset(2);
@@ -483,23 +460,7 @@ impl MinCostComposer {
             // same substream, so both see the same candidate set.
             let hosts: &[simnet::NodeId] = match candidate_cap {
                 Some(k) if all_hosts.len() > k => {
-                    let sorted: &[simnet::NodeId] = if all_hosts.windows(2).all(|w| w[0] < w[1]) {
-                        all_hosts
-                    } else {
-                        sorted_hosts.clear();
-                        sorted_hosts.extend_from_slice(all_hosts);
-                        sorted_hosts.sort_unstable();
-                        sorted_hosts.dedup();
-                        sorted_hosts
-                    };
-                    match selection {
-                        CandidateSelection::Indexed => {
-                            view.select_top_candidates_indexed(sorted, k, selected)
-                        }
-                        CandidateSelection::Linear => {
-                            view.select_top_candidates_linear(sorted, k, selected)
-                        }
-                    }
+                    view.select_top_candidates(all_hosts, k, selected);
                     selected
                 }
                 _ => all_hosts,

@@ -28,11 +28,11 @@ mod random;
 mod shard;
 mod single;
 
-pub use batch::{BatchAdmitter, BatchItem, BatchOutcome, OrderPolicy, ReconcileStats};
+pub use batch::{BatchItem, BatchOutcome, ReconcileStats};
 pub use greedy::GreedyComposer;
-pub use mincost::{CandidateSelection, LatencyMatrix, MinCostComposer};
+pub use mincost::{LatencyMatrix, MinCostComposer};
 pub use random::RandomComposer;
-pub use shard::{ShardOutcome, ShardedAdmitter};
+pub use shard::ShardedAdmitter;
 
 use crate::model::{ExecutionGraph, ServiceCatalog, ServiceId, ServiceRequest};
 use crate::view::SystemView;
@@ -55,6 +55,9 @@ pub enum ComposeError {
     },
     /// The request names a service outside the catalog.
     UnknownService(ServiceId),
+    /// The request's source node has crashed: it can neither run the
+    /// discovery nor emit the stream.
+    DeadSource(NodeId),
 }
 
 impl std::fmt::Display for ComposeError {
@@ -65,6 +68,7 @@ impl std::fmt::Display for ComposeError {
                 write!(f, "insufficient capacity for substream {substream}")
             }
             ComposeError::UnknownService(s) => write!(f, "unknown service {s}"),
+            ComposeError::DeadSource(v) => write!(f, "source node {v} is down"),
         }
     }
 }
@@ -129,14 +133,14 @@ pub trait Composer {
     /// function of its inputs. Warm starts never change composition
     /// *cost*, but among equal-cost placements they can tilt which one
     /// the solver lands on — the batch pipeline calls this before every
-    /// item so pooled arenas produce identical placements no matter
-    /// which items they happened to process earlier. Stateless
+    /// item so its arenas produce identical placements no matter which
+    /// items they happened to process earlier. Stateless
     /// composers have nothing to drop.
     fn forget_warm_state(&mut self) {}
 
     /// Enables or disables retention of compose state for incremental
     /// repair. Batch-worker arenas disable it: retention clones the
-    /// solved arena per substream, and a pooled arena's cache could
+    /// solved arena per substream, and a shared arena's cache could
     /// never be claimed under a stable app id anyway. Composers with no
     /// retained state ignore this.
     fn set_retention(&mut self, _on: bool) {}

@@ -1,23 +1,21 @@
-//! Region-sharded admission: parallel shard-local composition over
-//! partial views, serial validate-and-commit against the authoritative
-//! ledger.
+//! The batch admission pipeline: region-local composition over partial
+//! views, serial validate-and-commit against the authoritative ledger.
 //!
-//! The global [`BatchAdmitter`](super::BatchAdmitter) parallelizes
-//! composition, but every worker still re-syncs a full `O(n)` copy of the
-//! base snapshot per batch and composes with global information — the
-//! single-consistent-view assumption that caps scaling. The sharded
-//! pipeline drops that assumption the way decentralized resource-mapping
-//! systems do (Asaduzzaman & Maheswaran's bi-modal scheme: authoritative
-//! local state plus gossiped summaries of everyone else):
+//! The overlay is partitioned into **regions** by an
+//! [`overlay::RegionMap`]; the region count is a parameter, and one
+//! region is the global pipeline (every node authoritative, nothing
+//! stale). With more regions the pipeline drops the single-consistent-
+//! view assumption the way decentralized resource-mapping systems do
+//! (Asaduzzaman & Maheswaran's bi-modal scheme: authoritative local state
+//! plus gossiped summaries of everyone else):
 //!
-//! * The overlay is partitioned into **regions** by an
-//!   [`overlay::RegionMap`] — site-clustered for the `power_law` /
-//!   `datacenter_wan` generators, key-space otherwise. Each region's
-//!   shard holds a persistent partial [`SystemView`] in which *only its
-//!   own members are authoritative*: they are re-synced from the base
-//!   snapshot every batch ([`SystemView::sync_nodes_from`], `O(n/s)` per
-//!   shard instead of `O(n)`).
-//! * Every other node appears through a [`ResidualDigest`] — a
+//! * Each region's shard holds a persistent partial [`SystemView`] in
+//!   which *only its own members are authoritative*: they are re-synced
+//!   from the base snapshot every batch
+//!   ([`SystemView::sync_nodes_from`], `O(n/s)` per shard instead of
+//!   `O(n)`). Site-clustered topologies (`power_law` / `datacenter_wan`)
+//!   shard along their sites, others by overlay key space.
+//! * Every other node appears through a [`ResidualDigest`]: a
 //!   monitoring-plane summary of residual capacity refreshed
 //!   periodically (every `refresh_every` batches here; fed by simulation
 //!   events in the engine). Remote entries are therefore **declared
@@ -25,28 +23,22 @@
 //!   against capacity numbers up to one refresh interval old. Views are
 //!   patched from the digest only when its version actually changed, so
 //!   the remote-patch cost amortizes to `O(n / refresh_every)` per shard
-//!   per batch.
+//!   per batch. With one region there are no remote nodes and no digest.
 //! * Requests route to the shard owning their *source* region; shards
 //!   compose their items concurrently on `desim::pool`, each item
 //!   against the shard's partial view inside a rolled-back transaction
-//!   (order-free, exactly like the global optimistic phase).
-//! * Commit is the **shared** serial reconcile
-//!   ([`reconcile_proposals`]): proposals are validated in commit order
-//!   against the authoritative view with the committed-rate ledger
-//!   formula (`overcommits_a_host`) and conflicting items are replayed.
-//!   Staleness can only produce *proposals* that no longer fit — never a
-//!   commit that overcommits — so every ledger invariant the auditor
+//!   (the order-free optimistic phase, see [`super::batch`]).
+//! * Commit is the serial reconcile ([`reconcile_proposals`]):
+//!   proposals are validated in submission order against the
+//!   authoritative view with the committed-rate ledger formula
+//!   (`overcommits_a_host`) and conflicting items are replayed.
+//!   Staleness can only produce *proposals* that no longer fit, never a
+//!   commit that overcommits, so every ledger invariant the auditor
 //!   checks holds exactly, and the conflict/replay rate is the (measured)
 //!   price of staleness.
-//!
-//! With one shard there are no remote nodes and no staleness: the shard's
-//! partial view re-syncs fully from the base, per-item RNG streams and
-//! the reconcile code are shared with the global pipeline, and the
-//! outcome is digest-identical to [`BatchAdmitter`](super::BatchAdmitter)
-//! by construction (`tests/shard_equivalence.rs` asserts it).
 
-use super::batch::{mix, reconcile_proposals, BatchItem, BatchOutcome, OrderPolicy};
-use super::{Composer, ComposerKind};
+use super::batch::{mix, reconcile_proposals, BatchItem, BatchOutcome};
+use super::Composer;
 use crate::compose::ComposeError;
 use crate::model::{ExecutionGraph, ServiceCatalog};
 use crate::view::SystemView;
@@ -64,27 +56,11 @@ struct ShardSlot {
     patched_version: u64,
 }
 
-/// Outcome of one sharded batch: the per-item results (digest-comparable
-/// with the global pipeline's) plus shard-level accounting.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// Per-item results, replay set, and reconcile stats — same shape
-    /// and digest as the global [`BatchAdmitter`](super::BatchAdmitter).
-    pub outcome: BatchOutcome,
-    /// Admitted requests with at least one placement outside the
-    /// submitting source's home region — the proposals that rode on
-    /// digest (possibly stale) information.
-    pub cross_shard: usize,
-    /// Digest version the batch composed against (0 = never refreshed:
-    /// remote entries still carry their creation-time snapshot).
-    pub digest_version: u64,
-}
-
-/// The region-sharded admission pipeline. See the module docs for the
-/// protocol; construction fixes the region map, worker count, and
-/// digest refresh period, all of which are part of the deterministic
-/// input (outcomes are a pure function of base view, items, seed, and
-/// this configuration — never of worker scheduling).
+/// The batch admission pipeline. See the module docs for the protocol;
+/// construction fixes the region map, worker count, and digest refresh
+/// period. The region map and refresh period are part of the
+/// deterministic input (outcomes are a pure function of base view,
+/// items, seed, and this configuration); the worker count never is.
 pub struct ShardedAdmitter {
     regions: RegionMap,
     /// Per shard: every node *not* in the shard, ascending — the digest
@@ -96,11 +72,12 @@ pub struct ShardedAdmitter {
     /// the engine's monitoring events — calls
     /// [`refresh_digest`](Self::refresh_digest) instead).
     refresh_every: u64,
-    order: OrderPolicy,
     factory: Box<dyn Fn() -> Box<dyn Composer + Send> + Send + Sync>,
     arenas: Mutex<Vec<Box<dyn Composer + Send>>>,
     slots: Mutex<Vec<Option<ShardSlot>>>,
-    digest: ResidualDigest,
+    /// Remote-capacity digest; `None` with one region, which has no
+    /// remote nodes.
+    digest: Option<ResidualDigest>,
     batches: u64,
 }
 
@@ -142,60 +119,40 @@ impl ShardedAdmitter {
             remotes,
             threads,
             refresh_every,
-            order: OrderPolicy::default(),
             factory: Box::new(factory),
             arenas: Mutex::new(Vec::new()),
             slots: Mutex::new((0..shards).map(|_| None).collect()),
-            digest: ResidualDigest::new(n),
+            digest: (shards > 1).then(|| ResidualDigest::new(n)),
             batches: 0,
         }
     }
 
-    /// A default-configuration admitter over `kind` composers.
-    pub fn for_kind(
-        regions: RegionMap,
-        threads: usize,
-        refresh_every: u64,
-        kind: ComposerKind,
-    ) -> Self {
-        Self::new(regions, threads, refresh_every, move || kind.build())
-    }
-
-    /// Replaces the commit-ordering policy (default: first submitted).
-    pub fn with_order(mut self, order: OrderPolicy) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.regions.regions()
-    }
-
-    /// The digest's current version and age-relevant capture time; the
-    /// auditor bounds staleness with these.
-    pub fn digest(&self) -> &ResidualDigest {
-        &self.digest
+    /// The remote-capacity digest (`None` with one region); the auditor
+    /// bounds its age.
+    pub fn digest(&self) -> Option<&ResidualDigest> {
+        self.digest.as_ref()
     }
 
     /// Captures `view`'s residual capacities into the digest at time
     /// `at` (the caller's clock: simulation seconds in the engine, the
     /// batch counter in self-refreshing mode). Until the next call,
     /// every shard composes cross-region placements against this
-    /// snapshot.
+    /// snapshot. A no-op with one region.
     pub fn refresh_digest(&mut self, view: &SystemView, at: f64) {
-        self.digest.refresh(at, |v| {
-            let a = view.avail(v);
-            (a.get(0), a.get(1), view.cpu_avail(v), view.drop_ratio(v))
-        });
+        if let Some(digest) = &mut self.digest {
+            digest.refresh(at, |v| {
+                let a = view.avail(v);
+                (a.get(0), a.get(1), view.cpu_avail(v), view.drop_ratio(v))
+            });
+        }
     }
 
     fn take_arena(&self) -> Box<dyn Composer + Send> {
         self.arenas.lock().unwrap().pop().unwrap_or_else(|| {
             let mut c = (self.factory)();
-            // Same rule as the global pipeline: arenas are shared across
-            // items and batches, so per-app retained-repair state would
-            // be misaddressed.
+            // Arenas are shared by every item of every batch, so per-app
+            // retained-repair state would be misaddressed; the engine
+            // repairs batch-admitted apps by cold recomposition.
             c.set_retention(false);
             c
         })
@@ -208,16 +165,20 @@ impl ShardedAdmitter {
     /// Admits `items` against `view` (the authoritative base snapshot):
     /// routes each item to the shard owning its source, composes the
     /// shards' work concurrently against their partial views, then
-    /// validates-and-commits every proposal against `view` in commit
-    /// order via the shared reconcile pass. On return, `view` carries
-    /// exactly the admitted results' reservations.
+    /// validates-and-commits every proposal against `view` in submission
+    /// order via the reconcile pass. On return, `view` carries exactly
+    /// the admitted results' reservations.
+    ///
+    /// `seed` feeds the per-item RNG streams (`mix(seed, index)`), so
+    /// outcomes are a pure function of (view, items, seed, regions) —
+    /// worker count and scheduling cannot shift them.
     pub fn admit_batch(
         &mut self,
         view: &mut SystemView,
         catalog: &ServiceCatalog,
         items: &[BatchItem],
         seed: u64,
-    ) -> ShardOutcome {
+    ) -> BatchOutcome {
         assert!(!view.in_transaction(), "batch over a half-open snapshot");
         assert_eq!(view.len(), self.regions.len(), "view/region size mismatch");
         if self.refresh_every > 0 && self.batches.is_multiple_of(self.refresh_every) {
@@ -256,13 +217,14 @@ impl ShardedAdmitter {
                         // from the creation-time base even before the
                         // first digest refresh reaches this shard.
                         view: base.clone(),
-                        patched_version: this.digest.version(),
+                        patched_version: this.digest.as_ref().map_or(0, ResidualDigest::version),
                     },
                 };
-                if slot.patched_version != this.digest.version() {
-                    slot.view
-                        .apply_residual_digest(&this.digest, &this.remotes[*s]);
-                    slot.patched_version = this.digest.version();
+                if let Some(digest) = &this.digest {
+                    if slot.patched_version != digest.version() {
+                        slot.view.apply_residual_digest(digest, &this.remotes[*s]);
+                        slot.patched_version = digest.version();
+                    }
                 }
                 slot.view.sync_nodes_from(base, this.regions.members(*s));
                 let mut out = Vec::with_capacity(idxs.len());
@@ -291,23 +253,15 @@ impl ShardedAdmitter {
             .map(|p| p.expect("every item routed to exactly one shard"))
             .collect();
 
-        // Shared serial validate-and-commit against the authoritative
-        // view — identical code, order, and replay RNG streams as the
-        // global pipeline.
-        let order = self.order.commit_order(items);
+        // Serial validate-and-commit against the authoritative view: the
+        // first committed proposal wins its capacity; later conflicting
+        // proposals replay against what is actually left.
         let mut arena = self.take_arena();
-        let outcome = reconcile_proposals(
-            view,
-            catalog,
-            items,
-            proposals,
-            &order,
-            seed,
-            arena.as_mut(),
-        );
+        let mut outcome =
+            reconcile_proposals(view, catalog, items, proposals, seed, arena.as_mut());
         self.put_arena(arena);
 
-        let cross_shard = items
+        outcome.cross_shard = items
             .iter()
             .zip(&outcome.results)
             .filter(|((req, _), r)| {
@@ -322,18 +276,14 @@ impl ShardedAdmitter {
                 })
             })
             .count();
-        ShardOutcome {
-            outcome,
-            cross_shard,
-            digest_version: self.digest.version(),
-        }
+        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::{BatchAdmitter, MinCostComposer, ProviderMap};
+    use crate::compose::{ComposerKind, ProviderMap};
     use crate::model::{ServiceCatalog, ServiceRequest};
     use desim::SimDuration;
     use simnet::Topology;
@@ -352,6 +302,10 @@ mod tests {
         (catalog, view, providers)
     }
 
+    fn mincost() -> Box<dyn Composer + Send> {
+        ComposerKind::MinCost.build()
+    }
+
     fn items(k: usize, rate: f64, n: usize) -> Vec<BatchItem> {
         let (_, _, providers) = setup(n);
         (0..k)
@@ -365,51 +319,26 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_is_digest_identical_to_the_global_pipeline() {
-        let n = 12;
-        let (catalog, base, _) = setup(n);
-        let batch = items(10, 6.0, n);
-        let mut global_view = base.clone();
-        let global = BatchAdmitter::new(3, || Box::new(MinCostComposer::default())).admit_batch(
-            &mut global_view,
-            &catalog,
-            &batch,
-            77,
-        );
-        let mut sharded_view = base.clone();
-        let mut admitter = ShardedAdmitter::new(RegionMap::single(n), 3, 4, || {
-            Box::new(MinCostComposer::default())
-        });
-        let sharded = admitter.admit_batch(&mut sharded_view, &catalog, &batch, 77);
-        assert_eq!(global.digest(), sharded.outcome.digest());
-        assert!(global_view == sharded_view, "ledgers diverged");
-        assert_eq!(sharded.cross_shard, 0, "one shard has no remote nodes");
-    }
-
-    #[test]
     fn multi_shard_commits_exactly_the_admitted_reservations() {
         let n = 16;
         let (catalog, base, _) = setup(n);
         let batch = items(12, 10.0, n);
         let mut v = base.clone();
-        let mut admitter =
-            ShardedAdmitter::for_kind(RegionMap::key_space(n, 4), 2, 2, ComposerKind::MinCost);
+        let mut admitter = ShardedAdmitter::new(RegionMap::key_space(n, 4), 2, 2, mincost);
         let out = admitter.admit_batch(&mut v, &catalog, &batch, 3);
-        assert!(out.outcome.admitted() > 0);
+        assert!(out.admitted() > 0);
         let mut replay = base.clone();
-        for (item, r) in batch.iter().zip(&out.outcome.results) {
+        for (item, r) in batch.iter().zip(&out.results) {
             if let Ok(g) = r {
                 crate::compose::apply_reservations(&item.0, &catalog, g, &mut replay);
             }
         }
         assert!(replay == v, "view must equal base + admitted reservations");
-        v.check_index_coherence();
         // And the run is deterministic at a different worker count.
         let mut v2 = base.clone();
-        let mut admitter2 =
-            ShardedAdmitter::for_kind(RegionMap::key_space(n, 4), 5, 2, ComposerKind::MinCost);
+        let mut admitter2 = ShardedAdmitter::new(RegionMap::key_space(n, 4), 5, 2, mincost);
         let out2 = admitter2.admit_batch(&mut v2, &catalog, &batch, 3);
-        assert_eq!(out.outcome.digest(), out2.outcome.digest());
+        assert_eq!(out.digest(), out2.digest());
         assert_eq!(out.cross_shard, out2.cross_shard);
         assert!(v == v2);
     }
@@ -444,14 +373,14 @@ mod tests {
             })
             .collect();
         let mut v = base.clone();
-        let mut admitter = ShardedAdmitter::for_kind(regions, 2, 1_000_000, ComposerKind::MinCost);
+        let mut admitter = ShardedAdmitter::new(regions, 2, 1_000_000, mincost);
         let out = admitter.admit_batch(&mut v, &catalog, &batch, 9);
-        assert!(out.outcome.stats.conflicts > 0, "expected stale conflicts");
-        assert_eq!(out.outcome.admitted(), 2);
+        assert!(out.stats.conflicts > 0, "expected stale conflicts");
+        assert_eq!(out.admitted(), 2);
         assert!(out.cross_shard > 0, "placements crossed regions");
         // Ledger exactness despite staleness.
         let mut replay = base.clone();
-        for (item, r) in batch.iter().zip(&out.outcome.results) {
+        for (item, r) in batch.iter().zip(&out.results) {
             if let Ok(g) = r {
                 crate::compose::apply_reservations(&item.0, &catalog, g, &mut replay);
             }

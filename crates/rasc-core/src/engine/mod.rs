@@ -33,8 +33,8 @@ pub use wrr::{ChunkedWrr, Wrr};
 
 use crate::catalog::ServiceDirectory;
 use crate::compose::{
-    apply_reservations, gain_prefix, BatchAdmitter, BatchItem, ComposeError, Composer,
-    ComposerKind, ProviderMap, ReconcileStats, ShardedAdmitter,
+    apply_reservations, gain_prefix, BatchItem, ComposeError, Composer, ComposerKind, ProviderMap,
+    ReconcileStats, ShardedAdmitter,
 };
 use crate::metrics::{DropCause, RunReport, SubstreamTracker};
 use crate::model::{AppId, ExecutionGraph, ServiceCatalog, ServiceRequest};
@@ -116,19 +116,17 @@ pub struct EngineConfig {
     /// behaviour. At thousand-node scale this is the knob that keeps
     /// per-request composition cost independent of the overlay size.
     pub candidate_cap: Option<usize>,
-    /// Number of admission regions for [`Engine::submit_batch`]. `0`
-    /// (the default) runs the global single-view [`BatchAdmitter`];
-    /// `>= 1` runs the region-sharded pipeline
-    /// ([`ShardedAdmitter`](crate::compose::ShardedAdmitter)): regions
-    /// follow the topology's site assignment when it has one
-    /// (`power_law` / `datacenter_wan`), else the overlay key space,
-    /// and remote capacity reaches each shard through a periodically
-    /// refreshed residual digest. `1` is the degenerate sharding that
-    /// must reproduce the global path digest-identically.
+    /// Number of admission regions of the [`Engine::submit_batch`]
+    /// pipeline ([`ShardedAdmitter`]). `1` (the default) is the global
+    /// path: one view, every node authoritative. Larger values follow
+    /// the topology's site assignment when it has one (`power_law` /
+    /// `datacenter_wan`), else the overlay key space, and remote
+    /// capacity reaches each region through a periodically refreshed
+    /// residual digest. `0` is treated as `1`.
     pub shards: usize,
     /// Seconds of simulated time between residual-digest refreshes
-    /// when sharded admission is on — the declared staleness bound the
-    /// auditor holds the digest to.
+    /// when `shards > 1` — the declared staleness bound the auditor
+    /// holds the digest to.
     pub digest_refresh_secs: f64,
     /// Network model tunables.
     pub net: NetworkConfig,
@@ -162,7 +160,7 @@ impl Default for EngineConfig {
             audit: audit_from_env(),
             audit_period_secs: 2.0,
             candidate_cap: None,
-            shards: 0,
+            shards: 1,
             digest_refresh_secs: 4.0,
             net: NetworkConfig::default(),
         }
@@ -348,8 +346,7 @@ impl EngineBuilder {
             auditor,
             draining: false,
             latencies,
-            batch: None,
-            sharded: None,
+            admitter: None,
             config,
         };
         if let Some(bg) = state.config.background.clone() {
@@ -366,7 +363,7 @@ impl EngineBuilder {
         if state.auditor.is_some() {
             queue.schedule(SimTime::ZERO + audit_period, Event::AuditTick);
         }
-        if state.config.shards > 0 {
+        if state.config.shards > 1 {
             let period = SimDuration::from_secs_f64(state.config.digest_refresh_secs.max(0.05));
             queue.schedule(SimTime::ZERO + period, Event::DigestRefresh);
         }
@@ -467,10 +464,10 @@ enum Event {
     Fault(Box<FaultAction>),
     /// Periodic auditor checkpoint (scheduled only when auditing).
     AuditTick,
-    /// Periodic residual-digest refresh for sharded admission
-    /// (scheduled only when `config.shards > 0`): the monitoring plane
-    /// re-captures every node's residual capacity into the sharded
-    /// admitter's digest.
+    /// Periodic residual-digest refresh for multi-region batch admission
+    /// (scheduled only when `config.shards > 1`): the monitoring plane
+    /// re-captures every node's residual capacity into the admitter's
+    /// digest.
     DigestRefresh,
 }
 
@@ -534,15 +531,12 @@ struct EngineState {
     /// the engine's own composer holds another `Arc` to the same one).
     latencies: Option<std::sync::Arc<crate::compose::LatencyMatrix>>,
     /// Lazily built batch-admission pipeline (`Engine::submit_batch`),
-    /// keyed by the worker count it was built for. Worker arenas persist
-    /// across batches, so steady-state batch admission rebuilds flow
-    /// networks inside retained buffers instead of allocating them.
-    batch: Option<(usize, BatchAdmitter)>,
-    /// Lazily built region-sharded pipeline (`config.shards > 0`), keyed
-    /// by worker count like `batch`. Holds the periodically refreshed
-    /// residual-capacity digest that shard-local composers read for
-    /// remote hosts.
-    sharded: Option<(usize, ShardedAdmitter)>,
+    /// keyed by the worker count it was built for. Worker arenas and
+    /// region views persist across batches, so steady-state batch
+    /// admission rebuilds flow networks inside retained buffers instead
+    /// of allocating them. With `config.shards > 1` it also holds the
+    /// periodically refreshed residual-capacity digest.
+    admitter: Option<(usize, ShardedAdmitter)>,
     config: EngineConfig,
 }
 
@@ -564,7 +558,7 @@ pub struct BatchSubmitReport {
     /// hosts at the same rates, regardless of worker count.
     pub digest: u64,
     /// Admitted requests with at least one placement outside the source's
-    /// home region. Always 0 on the global (`shards == 0`) path.
+    /// home region. Always 0 with one region.
     pub cross_shard: usize,
 }
 
@@ -611,11 +605,12 @@ impl Engine {
     /// pipeline: one measured-view snapshot for the whole burst,
     /// discovery and statistics pulls deduplicated per distinct
     /// `(source, service)` / `(source, candidate)` pair, compositions
-    /// run optimistically on `threads` pooled workers, and winners
-    /// committed in submission order with conflict replay (see
-    /// [`BatchAdmitter`]). `threads == 0` uses the machine default
-    /// (`RASC_THREADS` / available parallelism); any positive worker
-    /// count yields the identical, digest-checked outcome.
+    /// run optimistically per admission region (regions in parallel on
+    /// up to `threads` workers), and winners committed in submission
+    /// order with conflict replay (see [`ShardedAdmitter`]).
+    /// `threads == 0` uses the machine default (`RASC_THREADS` /
+    /// available parallelism); any positive worker count yields the
+    /// identical, digest-checked outcome.
     pub fn submit_batch(&mut self, reqs: Vec<ServiceRequest>, threads: usize) -> BatchSubmitReport {
         let now = self.state.now;
         self.state
@@ -837,6 +832,35 @@ fn repaired_graph_is_sound(old: &ExecutionGraph, new: &ExecutionGraph, dead: Nod
         })
 }
 
+/// Control-plane bookkeeping of one admission burst (a single
+/// `submit` is a burst of one): which `(source, service)` lookups and
+/// `(source, candidate)` statistics pulls were already paid for, and
+/// when the last answer lands.
+struct Discovery {
+    ready_at: SimTime,
+    /// Whether later requests of the burst will consult the maps below;
+    /// a burst of one skips filling them.
+    shared: bool,
+    discovered: FxHashMap<(NodeId, usize), Vec<NodeId>>,
+    polled: desim::hash::FxHashSet<(NodeId, NodeId)>,
+}
+
+impl Discovery {
+    fn new(now: SimTime, shared: bool) -> Self {
+        Discovery {
+            ready_at: now,
+            shared,
+            discovered: FxHashMap::default(),
+            polled: Default::default(),
+        }
+    }
+
+    /// Notes a control message landing at `t`.
+    fn land(&mut self, t: SimTime) {
+        self.ready_at = self.ready_at.max(t);
+    }
+}
+
 impl World for EngineState {
     type Event = Event;
 
@@ -861,22 +885,41 @@ impl World for EngineState {
 }
 
 impl EngineState {
-    /// §3.1 steps 1–3: discover, gather statistics, compose.
-    fn handle_submit(
+    /// The admission front end shared by [`handle_submit`]
+    /// (Self::handle_submit) and [`handle_submit_batch`]
+    /// (Self::handle_submit_batch): §3.1 steps 1–2 for one request.
+    ///
+    /// Gates the request first: during teardown, on a failed
+    /// validation, or when its source node has crashed it is rejected
+    /// (and counted) before any message is sent. Otherwise discovers
+    /// each distinct service's providers through the Pastry DHT and
+    /// pulls statistics from each candidate, charging every control
+    /// message to the overlay links. `burst` deduplicates across the
+    /// requests of one burst: each `(source, service)` is discovered
+    /// once and each `(source, candidate)` pair is polled once, so a
+    /// single request pays exactly its own messages.
+    fn discover(
         &mut self,
         now: SimTime,
-        req: ServiceRequest,
-        q: &mut EventQueue<Event>,
-    ) -> Result<AppId, ComposeError> {
-        if self.draining {
+        req: &ServiceRequest,
+        burst: &mut Discovery,
+    ) -> Result<ProviderMap, ComposeError> {
+        let gate = if self.draining {
             // Teardown is in progress; starting a new application now
             // would emit forever and the backlog could never drain.
+            Err(ComposeError::InsufficientCapacity { substream: 0 })
+        } else if req.validate(&self.catalog).is_err() {
+            Err(ComposeError::UnknownService(usize::MAX))
+        } else if !self.nodes[req.source].alive {
+            // A crashed source can neither route the DHT lookups nor
+            // emit the stream.
+            Err(ComposeError::DeadSource(req.source))
+        } else {
+            Ok(())
+        };
+        if let Err(e) = gate {
             self.report.rejected += 1;
-            return Err(ComposeError::InsufficientCapacity { substream: 0 });
-        }
-        if let Err(_e) = req.validate(&self.catalog) {
-            self.report.rejected += 1;
-            return Err(ComposeError::UnknownService(usize::MAX));
+            return Err(e);
         }
         // Step 1: DHT discovery of each distinct service, charged hop by
         // hop to the overlay links.
@@ -889,30 +932,99 @@ impl EngineState {
         services.sort_unstable();
         services.dedup();
         let mut providers = ProviderMap::new();
-        let mut ready_at = now;
         for &s in &services {
-            let (found, path) = self.dir.discover(&self.overlay, req.source, s);
-            for hop in path.windows(2) {
-                ready_at = ready_at.max(self.charge_control(now, hop[0], hop[1]));
-            }
-            // The answer travels back directly.
-            if let Some(&last) = path.last() {
-                if last != req.source {
-                    ready_at = ready_at.max(self.charge_control(now, last, req.source));
+            let found = match burst.discovered.get(&(req.source, s)) {
+                Some(found) => found.clone(),
+                None => {
+                    let (found, path) = self.dir.discover(&self.overlay, req.source, s);
+                    for hop in path.windows(2) {
+                        burst.land(self.charge_control(now, hop[0], hop[1]));
+                    }
+                    // The answer travels back directly.
+                    if let Some(&last) = path.last() {
+                        if last != req.source {
+                            burst.land(self.charge_control(now, last, req.source));
+                        }
+                    }
+                    if burst.shared {
+                        burst.discovered.insert((req.source, s), found.clone());
+                    }
+                    found
                 }
-            }
+            };
             providers.insert(s, found);
         }
-        // Step 2: pull utilization + drop statistics from each candidate.
+        // Step 2: pull utilization + drop statistics from each candidate
+        // (the candidates of one request are distinct already).
         let mut candidates: Vec<NodeId> = providers.values().flatten().copied().collect();
         candidates.sort_unstable();
         candidates.dedup();
         for &c in &candidates {
-            if c != req.source {
-                ready_at = ready_at.max(self.charge_control(now, req.source, c));
-                ready_at = ready_at.max(self.charge_control(now, c, req.source));
+            if c != req.source && (!burst.shared || burst.polled.insert((req.source, c))) {
+                burst.land(self.charge_control(now, req.source, c));
+                burst.land(self.charge_control(now, c, req.source));
             }
         }
+        Ok(providers)
+    }
+
+    /// §3.1 step 4 for an admitted request: counts it, installs its
+    /// components, and starts its sources once the control plane's
+    /// answers have landed (`ready_at`).
+    fn admit(
+        &mut self,
+        now: SimTime,
+        req: ServiceRequest,
+        graph: ExecutionGraph,
+        ready_at: SimTime,
+        q: &mut EventQueue<Event>,
+    ) -> AppId {
+        let components = graph.component_count();
+        let split = graph.has_splitting();
+        self.report.composed += 1;
+        self.report.components += components as u64;
+        if split {
+            self.report.split_requests += 1;
+        }
+        let app = self.install_app(req, graph);
+        if let Some(tr) = &mut self.trace {
+            tr.record(
+                now,
+                TraceEvent::Composed {
+                    app,
+                    components,
+                    split,
+                },
+            );
+        }
+        q.schedule(ready_at, Event::AppStart(app));
+        app
+    }
+
+    /// Counts and traces a request its composition rejected.
+    fn reject(&mut self, now: SimTime, e: &ComposeError) {
+        self.report.rejected += 1;
+        if let Some(tr) = &mut self.trace {
+            tr.record(
+                now,
+                TraceEvent::Rejected {
+                    reason: e.to_string(),
+                },
+            );
+        }
+    }
+
+    /// §3.1 steps 1–3: discover, gather statistics, compose on the
+    /// engine's own composer, which retains the solve for the app's
+    /// incremental repair.
+    fn handle_submit(
+        &mut self,
+        now: SimTime,
+        req: ServiceRequest,
+        q: &mut EventQueue<Event>,
+    ) -> Result<AppId, ComposeError> {
+        let mut burst = Discovery::new(now, false);
+        let providers = self.discover(now, &req, &mut burst)?;
         // Step 3: compose against the measured availability + drop
         // feedback snapshot (§3.2).
         let mut view = self.measured_view(now);
@@ -925,32 +1037,13 @@ impl EngineState {
             .compose(&req, &self.catalog, &providers, &mut view, &mut self.rng)
         {
             Ok(graph) => {
-                self.report.composed += 1;
-                self.report.components += graph.component_count() as u64;
-                if graph.has_splitting() {
-                    self.report.split_requests += 1;
-                }
-                let components = graph.component_count();
-                let split = graph.has_splitting();
-                let app = self.install_app(req, graph);
+                let app = self.admit(now, req, graph, burst.ready_at, q);
                 // Let the composer keep its solve state for this app's
                 // incremental repair (no-op for the baselines).
                 self.composer.retain_for_repair(app);
-                if let Some(tr) = &mut self.trace {
-                    tr.record(
-                        now,
-                        TraceEvent::Composed {
-                            app,
-                            components,
-                            split,
-                        },
-                    );
-                }
-                q.schedule(ready_at, Event::AppStart(app));
                 Ok(app)
             }
             Err(e) => {
-                self.report.rejected += 1;
                 if let (Some(aud), Some(backup)) = (self.auditor.as_mut(), audit_backup.as_ref()) {
                     if view != *backup {
                         aud.violation(format!(
@@ -958,14 +1051,7 @@ impl EngineState {
                         ));
                     }
                 }
-                if let Some(tr) = &mut self.trace {
-                    tr.record(
-                        now,
-                        TraceEvent::Rejected {
-                            reason: e.to_string(),
-                        },
-                    );
-                }
+                self.reject(now, &e);
                 Err(e)
             }
         }
@@ -974,16 +1060,13 @@ impl EngineState {
     /// The batch counterpart of [`handle_submit`](Self::handle_submit):
     /// §3.1 steps 1–3 once per burst instead of once per request.
     ///
-    /// Control-plane work is deduplicated across the burst — each
-    /// distinct `(source, service)` is discovered once and each distinct
-    /// `(source, candidate)` statistics pull is charged once (a burst
-    /// from one source touching the same services pays one discovery,
-    /// not `k`) — and a single measured view serves as every request's
-    /// composition snapshot. Admission itself runs through the
-    /// [`BatchAdmitter`]: optimistic parallel compose against the shared
-    /// snapshot, then a serial, submission-order commit with conflict
-    /// replay. Admitted apps all start at the burst's control-plane
-    /// `ready_at` horizon.
+    /// Control-plane work is deduplicated across the burst (see
+    /// [`discover`](Self::discover)) and a single measured view serves
+    /// as every request's composition snapshot. Admission itself runs
+    /// through the [`ShardedAdmitter`]: optimistic per-region compose
+    /// against the shared snapshot, then a serial, submission-order
+    /// commit with conflict replay. Admitted apps all start at the
+    /// burst's control-plane `ready_at` horizon.
     ///
     /// Batch-admitted apps are repaired by cold recomposition (worker
     /// arenas keep no per-app solve state; see
@@ -1000,96 +1083,37 @@ impl EngineState {
         } else {
             threads
         };
-        let mut apps: Vec<Option<Result<AppId, ComposeError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        // Gate and validate exactly as the single-request path does;
-        // requests that never reach composition are rejected in place.
+        // Requests that never reach composition are rejected in place.
+        let mut apps: Vec<Option<Result<AppId, ComposeError>>> = Vec::with_capacity(reqs.len());
         let mut items: Vec<BatchItem> = Vec::new();
         let mut item_index: Vec<usize> = Vec::new(); // item -> request index
-        let mut ready_at = now;
-        let mut discovered: FxHashMap<(NodeId, usize), Vec<NodeId>> = FxHashMap::default();
-        let mut polled: desim::hash::FxHashSet<(NodeId, NodeId)> = Default::default();
+        let mut burst = Discovery::new(now, true);
         for (r, req) in reqs.into_iter().enumerate() {
-            if self.draining {
-                self.report.rejected += 1;
-                apps[r] = Some(Err(ComposeError::InsufficientCapacity { substream: 0 }));
-                continue;
-            }
-            if req.validate(&self.catalog).is_err() {
-                self.report.rejected += 1;
-                apps[r] = Some(Err(ComposeError::UnknownService(usize::MAX)));
-                continue;
-            }
-            // Step 1: discovery, once per distinct (source, service).
-            let mut services: Vec<usize> = req
-                .graph
-                .substreams
-                .iter()
-                .flat_map(|s| s.services.iter().copied())
-                .collect();
-            services.sort_unstable();
-            services.dedup();
-            let mut providers = ProviderMap::new();
-            for &s in &services {
-                let found = match discovered.get(&(req.source, s)) {
-                    Some(f) => f.clone(),
-                    None => {
-                        let (found, path) = self.dir.discover(&self.overlay, req.source, s);
-                        for hop in path.windows(2) {
-                            ready_at = ready_at.max(self.charge_control(now, hop[0], hop[1]));
-                        }
-                        if let Some(&last) = path.last() {
-                            if last != req.source {
-                                ready_at = ready_at.max(self.charge_control(now, last, req.source));
-                            }
-                        }
-                        discovered.insert((req.source, s), found.clone());
-                        found
-                    }
-                };
-                providers.insert(s, found);
-            }
-            // Step 2: statistics, once per distinct (source, candidate).
-            let mut candidates: Vec<NodeId> = providers.values().flatten().copied().collect();
-            candidates.sort_unstable();
-            candidates.dedup();
-            for &c in &candidates {
-                if c != req.source && polled.insert((req.source, c)) {
-                    ready_at = ready_at.max(self.charge_control(now, req.source, c));
-                    ready_at = ready_at.max(self.charge_control(now, c, req.source));
+            match self.discover(now, &req, &mut burst) {
+                Ok(providers) => {
+                    item_index.push(r);
+                    items.push((req, providers));
+                    apps.push(None);
                 }
+                Err(e) => apps.push(Some(Err(e))),
             }
-            item_index.push(r);
-            items.push((req, providers));
         }
         // Step 3: one snapshot for the whole burst, then the pipeline.
         let mut view = self.measured_view(now);
         let audit_backup = self.auditor.is_some().then(|| view.clone());
         let seed = self.rng.next_u64();
-        let (outcome, cross_shard) = if self.config.shards > 0 {
-            let reuse = matches!(self.sharded, Some((t, _)) if t == threads);
-            if !reuse {
-                let regions = self.region_map();
-                let mut adm = ShardedAdmitter::new(regions, threads, 0, self.worker_factory());
-                // Capture the first digest at creation so the declared
-                // staleness bound holds from the very first batch; the
-                // DigestRefresh event keeps it fresh from here on.
-                adm.refresh_digest(&view, now.as_secs_f64());
-                self.sharded = Some((threads, adm));
-            }
-            let (_, admitter) = self.sharded.as_mut().expect("just built");
-            let out = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
-            (out.outcome, out.cross_shard)
-        } else {
-            let reuse = matches!(self.batch, Some((t, _)) if t == threads);
-            if !reuse {
-                let admitter = BatchAdmitter::new(threads, self.worker_factory());
-                self.batch = Some((threads, admitter));
-            }
-            let admitter = &self.batch.as_ref().expect("just built").1;
-            let outcome = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
-            (outcome, 0)
-        };
+        if !matches!(self.admitter, Some((t, _)) if t == threads) {
+            let mut adm =
+                ShardedAdmitter::new(self.region_map(), threads, 0, self.worker_factory());
+            // Capture the first digest at creation so the declared
+            // staleness bound holds from the very first batch; the
+            // DigestRefresh event keeps it fresh from here on. A no-op
+            // with one region.
+            adm.refresh_digest(&view, now.as_secs_f64());
+            self.admitter = Some((threads, adm));
+        }
+        let (_, admitter) = self.admitter.as_mut().expect("just built");
+        let outcome = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
         let digest = outcome.digest();
         // Ledger-exactness audit: the pipeline's view must carry exactly
         // the admitted reservations on top of the snapshot it was given.
@@ -1110,43 +1134,15 @@ impl EngineState {
         // Install winners and record rejections in submission order.
         let replayed: Vec<usize> = outcome.replayed.iter().map(|&i| item_index[i]).collect();
         let stats = outcome.stats.clone();
+        let cross_shard = outcome.cross_shard;
         for (((req, _), result), &r) in items.into_iter().zip(outcome.results).zip(&item_index) {
-            match result {
-                Ok(graph) => {
-                    self.report.composed += 1;
-                    self.report.components += graph.component_count() as u64;
-                    if graph.has_splitting() {
-                        self.report.split_requests += 1;
-                    }
-                    let components = graph.component_count();
-                    let split = graph.has_splitting();
-                    let app = self.install_app(req, graph);
-                    if let Some(tr) = &mut self.trace {
-                        tr.record(
-                            now,
-                            TraceEvent::Composed {
-                                app,
-                                components,
-                                split,
-                            },
-                        );
-                    }
-                    q.schedule(ready_at, Event::AppStart(app));
-                    apps[r] = Some(Ok(app));
-                }
+            apps[r] = Some(match result {
+                Ok(graph) => Ok(self.admit(now, req, graph, burst.ready_at, q)),
                 Err(e) => {
-                    self.report.rejected += 1;
-                    if let Some(tr) = &mut self.trace {
-                        tr.record(
-                            now,
-                            TraceEvent::Rejected {
-                                reason: e.to_string(),
-                            },
-                        );
-                    }
-                    apps[r] = Some(Err(e));
+                    self.reject(now, &e);
+                    Err(e)
                 }
-            }
+            });
         }
         BatchSubmitReport {
             apps: apps
@@ -1160,9 +1156,9 @@ impl EngineState {
         }
     }
 
-    /// The composer factory shared by both admission pipelines: every
-    /// worker builds the configured composer kind, wired to the same
-    /// latency matrix and candidate cap as the engine's own composer.
+    /// The batch pipeline's composer factory: every worker builds the
+    /// configured composer kind, wired to the same latency matrix and
+    /// candidate cap as the engine's own composer.
     fn worker_factory(&self) -> impl Fn() -> Box<dyn Composer + Send> + Send + Sync + 'static {
         let kind = self.config.composer;
         let algorithm = self.config.flow_algorithm;
@@ -1185,29 +1181,31 @@ impl EngineState {
         }
     }
 
-    /// Region assignment for the sharded pipeline: clustered topologies
-    /// shard along their site structure, dense ones fall back to
-    /// key-space partitioning over node ids.
+    /// Region assignment for the batch pipeline: clustered topologies
+    /// split along their site structure, dense ones fall back to
+    /// key-space partitioning over node ids. `shards` of 0 or 1 is the
+    /// single global region.
     fn region_map(&self) -> overlay::RegionMap {
+        let shards = self.config.shards.max(1);
         let topo = self.net.topology();
         match topo.site_assignment() {
-            Some(sites) => overlay::RegionMap::from_sites(sites, self.config.shards),
-            None => overlay::RegionMap::key_space(topo.len(), self.config.shards),
+            Some(sites) => overlay::RegionMap::from_sites(sites, shards),
+            None => overlay::RegionMap::key_space(topo.len(), shards),
         }
     }
 
-    /// Periodic residual-digest refresh (`config.shards > 0`): captures
-    /// the current measured view into the sharded admitter's digest so
-    /// shard-local composers see remote capacity at bounded staleness.
+    /// Periodic residual-digest refresh (`config.shards > 1`): captures
+    /// the current measured view into the batch admitter's digest so
+    /// region-local composers see remote capacity at bounded staleness.
     fn handle_digest_refresh(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         if self.draining {
             // Teardown: no further admissions read the digest, and the
             // backlog must be allowed to drain to empty.
             return;
         }
-        if self.sharded.is_some() {
+        if self.admitter.is_some() {
             let view = self.measured_view(now);
-            if let Some((_, adm)) = &mut self.sharded {
+            if let Some((_, adm)) = &mut self.admitter {
                 adm.refresh_digest(&view, now.as_secs_f64());
             }
         }

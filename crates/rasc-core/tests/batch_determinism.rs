@@ -1,21 +1,24 @@
-//! Batch-admission determinism suite (ISSUE 9, tentpole part 3): a
-//! batch admitted serially (one worker) and in parallel (many workers)
-//! must produce digest-equal outcomes and bit-equal committed-rate
-//! ledgers — including under injected host-capacity conflicts that force
-//! the reconcile phase to replay items — at both the `BatchAdmitter`
-//! and the `Engine::submit_batch` level.
+//! Batch-admission determinism suite: a batch admitted over several
+//! regions on one worker and on many must produce digest-equal outcomes
+//! and bit-equal committed-rate ledgers — including under injected
+//! host-capacity conflicts that force the reconcile phase to replay
+//! items — at both the `ShardedAdmitter` and the `Engine::submit_batch`
+//! level.
 
 use desim::{SimDuration, SimRng};
+use overlay::RegionMap;
 use rasc_core::compose::{
-    apply_reservations, BatchAdmitter, BatchItem, MinCostComposer, ProviderMap,
+    apply_reservations, BatchItem, MinCostComposer, ProviderMap, ShardedAdmitter,
 };
 use rasc_core::engine::{Engine, EngineConfig};
 use rasc_core::model::{ServiceCatalog, ServiceRequest};
 use rasc_core::view::SystemView;
 use simnet::{kbps, Topology};
 
-fn admitter(threads: usize, cap: Option<usize>) -> BatchAdmitter {
-    BatchAdmitter::new(threads, move || {
+/// The batch pipeline over `regions`, composing them on `threads`
+/// workers, refreshing its remote-capacity digest before every batch.
+fn admitter(regions: RegionMap, threads: usize, cap: Option<usize>) -> ShardedAdmitter {
+    ShardedAdmitter::new(regions, threads, 1, move || {
         let mut c = MinCostComposer::default();
         if let Some(k) = cap {
             c = c.with_candidate_cap(k);
@@ -59,10 +62,12 @@ fn worker_count_never_changes_the_outcome() {
         let base = SystemView::fresh(&topo);
         let catalog = ServiceCatalog::synthetic(5, seed);
         let items = random_items(96, 24, 5, seed);
+        let sites = topo.site_assignment().expect("power-law is clustered");
         let mut reference = None;
         for threads in [1usize, 2, 4, 8] {
             let mut view = base.clone();
-            let out = admitter(threads, Some(8)).admit_batch(&mut view, &catalog, &items, seed);
+            let out = admitter(RegionMap::from_sites(sites, 4), threads, Some(8))
+                .admit_batch(&mut view, &catalog, &items, seed);
             let digest = out.digest();
             match &reference {
                 None => reference = Some((digest, view, out)),
@@ -88,6 +93,7 @@ fn injected_capacity_conflicts_force_replays_and_stay_deterministic() {
     // One deliberately tight provider pool: every request wants most of
     // a host, so optimistic proposals collide and the reconcile phase
     // must replay — serial and parallel runs must still agree exactly.
+    // Sources alternate between the two regions, so both compose.
     let catalog = ServiceCatalog::synthetic(1, 7);
     let view = SystemView::fresh(&Topology::uniform(
         6,
@@ -98,11 +104,21 @@ fn injected_capacity_conflicts_force_replays_and_stay_deterministic() {
     providers.insert(0, vec![1, 2, 3]);
     // ~122 du/s per NIC at the default unit size; 80 du/s each means one
     // stream per host fits and the rest conflict wherever they land.
+    let regions = || RegionMap::key_space(6, 2);
+    let other = (1..5)
+        .find(|&v| regions().region_of(v) != regions().region_of(0))
+        .expect("both regions hold a candidate source");
     let items: Vec<BatchItem> = (0..6)
-        .map(|_| (ServiceRequest::chain(&[0], 80.0, 0, 5), providers.clone()))
+        .map(|i| {
+            let source = [0, other][i % 2];
+            (
+                ServiceRequest::chain(&[0], 80.0, source, 5),
+                providers.clone(),
+            )
+        })
         .collect();
     let mut v1 = view.clone();
-    let out1 = admitter(1, None).admit_batch(&mut v1, &catalog, &items, 3);
+    let out1 = admitter(regions(), 1, None).admit_batch(&mut v1, &catalog, &items, 3);
     assert!(
         out1.stats.conflicts >= 2,
         "scenario failed to inject conflicts: {:?}",
@@ -111,7 +127,7 @@ fn injected_capacity_conflicts_force_replays_and_stay_deterministic() {
     assert!(!out1.replayed.is_empty());
     for threads in [2usize, 4] {
         let mut vp = view.clone();
-        let outp = admitter(threads, None).admit_batch(&mut vp, &catalog, &items, 3);
+        let outp = admitter(regions(), threads, None).admit_batch(&mut vp, &catalog, &items, 3);
         assert_eq!(out1.digest(), outp.digest(), "{threads} workers diverged");
         assert!(v1 == vp, "ledgers diverged at {threads} workers");
     }
@@ -128,47 +144,7 @@ fn injected_capacity_conflicts_force_replays_and_stay_deterministic() {
     );
 }
 
-#[test]
-fn every_order_policy_is_deterministic_across_worker_counts() {
-    use rasc_core::compose::OrderPolicy;
-    for policy in [
-        OrderPolicy::FirstSubmitted,
-        OrderPolicy::SmallestFirst,
-        OrderPolicy::LargestFirst,
-    ] {
-        for seed in [9u64, 23] {
-            let topo = Topology::power_law(96, kbps(300.0), kbps(2500.0), seed);
-            let base = SystemView::fresh(&topo);
-            let catalog = ServiceCatalog::synthetic(5, seed);
-            let items = random_items(96, 24, 5, seed);
-            let mut reference = None;
-            for threads in [1usize, 3, 6] {
-                let mut view = base.clone();
-                let out = admitter(threads, Some(8))
-                    .with_order(policy)
-                    .admit_batch(&mut view, &catalog, &items, seed);
-                let digest = out.digest();
-                match &reference {
-                    None => reference = Some((digest, view, out)),
-                    Some((d, v, o)) => {
-                        assert_eq!(
-                            *d, digest,
-                            "{policy:?} digest diverged at {threads} workers (seed {seed})"
-                        );
-                        assert!(
-                            *v == view,
-                            "{policy:?} ledger diverged at {threads} workers (seed {seed})"
-                        );
-                        assert_eq!(o.replayed, out.replayed, "{policy:?} replay set diverged");
-                        assert_eq!(o.stats, out.stats, "{policy:?} reconcile stats diverged");
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn batch_engine(n: usize, seed: u64, audit: bool) -> Engine {
+fn batch_engine(n: usize, seed: u64, shards: usize, audit: bool) -> Engine {
     let catalog = ServiceCatalog::synthetic(4, seed);
     let topo = Topology::power_law(n, kbps(400.0), kbps(3000.0), seed);
     let offers: Vec<Vec<usize>> = (0..n)
@@ -179,6 +155,7 @@ fn batch_engine(n: usize, seed: u64, audit: bool) -> Engine {
         .offers(offers)
         .config(EngineConfig {
             candidate_cap: Some(8),
+            shards,
             audit,
             audit_period_secs: 2.0,
             ..Default::default()
@@ -201,9 +178,9 @@ fn engine_submit_batch_digest_equal_across_worker_counts() {
             })
             .collect()
     };
-    let mut e1 = batch_engine(n, 21, false);
+    let mut e1 = batch_engine(n, 21, 4, false);
     let r1 = e1.submit_batch(reqs(()), 1);
-    let mut e4 = batch_engine(n, 21, false);
+    let mut e4 = batch_engine(n, 21, 4, false);
     let r4 = e4.submit_batch(reqs(()), 4);
     assert_eq!(r1.digest, r4.digest, "engine batch digests diverged");
     assert_eq!(r1.stats, r4.stats);
@@ -231,7 +208,7 @@ fn audited_engine_batch_admission_is_clean() {
     // check (view == snapshot + admitted reservations) plus the global
     // checkpoint invariants, regardless of the RASC_AUDIT environment.
     let n = 64;
-    let mut e = batch_engine(n, 5, true);
+    let mut e = batch_engine(n, 5, 1, true);
     let reqs: Vec<ServiceRequest> = (0..12)
         .map(|i| ServiceRequest::chain(&[i % 4], 6.0 + i as f64, (i * 4) % n, (i * 4 + 3) % n))
         .collect();

@@ -3,7 +3,7 @@
 //! applications on surviving nodes.
 
 use desim::SimDuration;
-use rasc_core::compose::ComposerKind;
+use rasc_core::compose::{ComposeError, ComposerKind};
 use rasc_core::engine::{Engine, EngineConfig};
 use rasc_core::metrics::DropCause;
 use rasc_core::model::{ServiceCatalog, ServiceRequest};
@@ -186,4 +186,44 @@ fn cascading_failures_leave_a_working_system() {
     let before = e.report().delivered;
     e.run_for_secs(10.0);
     assert!(e.report().delivered > before, "system wedged after churn");
+}
+
+#[test]
+fn submit_from_a_crashed_source_is_rejected_not_a_panic() {
+    let mut e = engine();
+    e.fail_node(6);
+    let msgs = |e: &Engine| (0..8).map(|v| e.network().stats(v).msgs_out).sum::<u64>();
+    let msgs_before = msgs(&e);
+    let r = e.submit(ServiceRequest::chain(&[0, 1], 10.0, 6, 7));
+    assert_eq!(r, Err(ComposeError::DeadSource(6)));
+    assert_eq!(e.report().rejected, 1);
+    assert_eq!(e.app_count(), 0);
+    assert_eq!(
+        msgs(&e),
+        msgs_before,
+        "a dead source must not send discovery or statistics messages"
+    );
+    // A live source still admits.
+    assert!(e.submit(ServiceRequest::chain(&[0, 1], 10.0, 7, 0)).is_ok());
+}
+
+#[test]
+fn submit_batch_rejects_crashed_sources_in_place() {
+    let mut e = engine();
+    e.fail_node(6);
+    let report = e.submit_batch(
+        vec![
+            ServiceRequest::chain(&[0, 1], 10.0, 6, 7),
+            ServiceRequest::chain(&[0, 1], 10.0, 7, 0),
+            ServiceRequest::chain(&[1], 5.0, 6, 1),
+        ],
+        2,
+    );
+    assert_eq!(report.apps[0], Err(ComposeError::DeadSource(6)));
+    assert!(report.apps[1].is_ok(), "live source must admit: {report:?}");
+    assert_eq!(report.apps[2], Err(ComposeError::DeadSource(6)));
+    assert_eq!(e.report().rejected, 2);
+    assert_eq!(e.report().composed, 1);
+    e.run_for_secs(5.0);
+    assert!(e.report().delivered > 0);
 }

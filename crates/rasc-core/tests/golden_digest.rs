@@ -19,7 +19,9 @@
 
 use desim::{SimRng, SimTime};
 use rasc_core::compose::ComposerKind;
-use rasc_core::engine::{BackgroundTraffic, Engine, EngineConfig, FaultPlan, FaultProfile};
+use rasc_core::engine::{
+    BackgroundTraffic, BatchSubmitReport, Engine, EngineConfig, FaultPlan, FaultProfile,
+};
 use rasc_core::model::ServiceCatalog;
 use workload::{PaperSetup, RequestGenerator};
 
@@ -119,6 +121,64 @@ fn mixed_fault_run_is_pinned() {
     assert_pinned("mixed faults seed 13", &e, MIXED_FAULTS_SEED_13);
 }
 
+/// Everything a batch pin compares per burst: the outcome digest, the
+/// admitted count and the reconcile accounting.
+fn burst_observed(r: &BatchSubmitReport) -> [u64; 6] {
+    [
+        r.digest,
+        r.apps.iter().filter(|a| a.is_ok()).count() as u64,
+        r.stats.optimistic_failures as u64,
+        r.stats.conflicts as u64,
+        r.stats.replayed_ok as u64,
+        r.stats.replay_rejected as u64,
+    ]
+}
+
+/// Batch admission at the default configuration: three bursts through
+/// `submit_batch` at worker counts 1, 2 and 1, with a crash of a host
+/// the first burst placed on between the second and third, then a run
+/// to completion. Pins every burst's outcome and the whole run.
+#[test]
+fn submit_batch_bursts_with_a_crash_are_pinned() {
+    let setup = PaperSetup {
+        requests: 0,
+        ..PaperSetup::small(11)
+    };
+    let mut e = paper_engine(&setup, None);
+    let mut gen = RequestGenerator::new(
+        setup.services,
+        setup.total_nodes(),
+        setup.avg_rate_kbps,
+        setup.seed,
+    )
+    .with_endpoints(setup.endpoint_ids());
+    let mut burst = |n: usize| (0..n).map(|_| gen.next_request()).collect::<Vec<_>>();
+    let mut bursts = Vec::new();
+
+    let first = e.submit_batch(burst(8), 1);
+    let victim = first
+        .apps
+        .iter()
+        .find_map(|a| a.as_ref().ok())
+        .map(|&app| e.app_graph(app).substreams[0][0].placements[0].node)
+        .expect("first burst admitted nothing");
+    bursts.push(burst_observed(&first));
+    e.run_for_secs(2.0);
+    bursts.push(burst_observed(&e.submit_batch(burst(8), 2)));
+    e.run_for_secs(2.0);
+    e.fail_node(victim);
+    e.run_for_secs(1.0);
+    bursts.push(burst_observed(&e.submit_batch(burst(6), 1)));
+    e.run_for_secs(10.0);
+    e.finish_run();
+
+    assert_eq!(
+        bursts, BATCH_BURSTS_SEED_11,
+        "batch bursts moved off their golden pin"
+    );
+    assert_pinned("batch bursts seed 11", &e, BATCH_RUN_SEED_11);
+}
+
 const PAPER_SMALL_SEED_7: &[(&str, u64)] = &[
     ("digest", 717954166247986770),
     ("composed", 10),
@@ -148,4 +208,24 @@ const MIXED_FAULTS_SEED_13: &[(&str, u64)] = &[
     ("repairs", 1),
     ("total_drops", 15),
     ("delay_mean_bits", 4639752562907820060),
+];
+const BATCH_BURSTS_SEED_11: [[u64; 6]; 3] = [
+    [14594530668255844641, 8, 0, 4, 4, 0],
+    [11427907184214638886, 6, 0, 6, 4, 2],
+    [13922423070430334092, 1, 5, 0, 0, 0],
+];
+const BATCH_RUN_SEED_11: &[(&str, u64)] = &[
+    ("digest", 9171085679889271092),
+    ("composed", 16),
+    ("rejected", 8),
+    ("generated", 2465),
+    ("delivered", 2404),
+    ("timely", 2048),
+    ("out_of_order", 12),
+    ("components", 64),
+    ("split_requests", 3),
+    ("recompositions", 2),
+    ("repairs", 0),
+    ("total_drops", 61),
+    ("delay_mean_bits", 4643682824536994392),
 ];

@@ -27,9 +27,10 @@ RASC_AUDIT=1 cargo test -q -p rasc-core -p workload
 cargo test -q -p desim --test queue_model
 
 # Golden run pins: fixed-seed paper-scenario runs (with cross traffic,
-# and with mixed faults) whose digests and outcome counters are recorded
-# constants. A refactor that claims to preserve behaviour must leave
-# them bit-identical; a deliberate change re-records them.
+# with mixed faults, and with submit_batch bursts around a crash) whose
+# digests and outcome counters are recorded constants. A refactor that
+# claims to preserve behaviour must leave them bit-identical; a
+# deliberate change re-records them.
 cargo test -q -p rasc-core --test golden_digest
 
 # Warm-basis repair equivalence: randomized arc-deletion / capacity-cut /
@@ -40,23 +41,17 @@ cargo test -q -p rasc-core --test golden_digest
 # past verification.
 cargo test -q -p mincostflow --test basis_equivalence
 
-# Thousand-node admission equivalences: (a) the capacity-bucket index
-# must enumerate exactly the linear reference's candidate sets across
-# topology families, mutation histories, and mid-transaction rollback
-# points; (b) batch admission must be digest-equal between one worker
-# and many, including under injected host-capacity conflicts. Named so
-# an index or reconcile change can never slip past verification.
-cargo test -q -p rasc-core --test view_index_equivalence --test batch_determinism
-
-# Region-sharded admission equivalences: (a) a one-shard sharded
-# pipeline must be digest-identical to the global batch pipeline (both
-# standalone and through Engine::submit_batch), and multi-shard
-# outcomes must be deterministic across worker counts; (b) replay
-# losers rolled back mid-transaction on digest-patched views must
-# leave the ledger and capacity index bit-equal to base + admitted
-# reservations. Named so a shard-routing, digest, or reconcile change
-# can never slip past verification.
-cargo test -q -p rasc-core --test shard_equivalence --test shard_rollback
+# Thousand-node admission: (a) top-k candidate selection must equal a
+# brute-force full sort across topology families, mutation histories,
+# and mid-transaction rollback points; (b) multi-region batch admission
+# must be digest-equal between one worker and many, including under
+# injected host-capacity conflicts, and an audited multi-region engine
+# must stay clean; (c) replay losers rolled back mid-transaction on
+# digest-patched views must leave the ledger bit-equal to base +
+# admitted reservations. Named so a selection, region-routing, digest,
+# or reconcile change can never slip past verification.
+cargo test -q -p rasc-core --test view_selection_oracle --test batch_determinism \
+    --test shard_equivalence --test shard_rollback
 
 # Microbenchmark smoke run: small fixed-seed iterations; exercises the
 # compose/solver hot paths, the data plane, and the batch-admission
@@ -125,10 +120,7 @@ if [ -f BENCH_compose.json ]; then
         printf "verify: WARNING %s slowed to %.2fx of committed (%.0f -> %.0f units/s)\n", \
             $1, $2 / base[$1], base[$1], $2
     }
-    # (admission/select_sublinearity is deliberately not diffed: a
-    # ratio of two 3-sample quick-mode timings is too noisy to compare
-    # against the committed full-run value without false positives.)
-    $3 == "x" && $1 ~ /^adapt\/basis_/ && !scaling_skip($1) {
+        $3 == "x" && $1 ~ /^adapt\/basis_/ && !scaling_skip($1) {
       if (unit[$1] == "x" && base[$1] > 0 && $2 < base[$1] / 2)
         printf "verify: WARNING %s speedup fell to %.2fx of committed (%.1fx -> %.1fx)\n", \
             $1, $2 / base[$1], base[$1], $2
